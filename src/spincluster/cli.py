@@ -53,6 +53,9 @@ PRESETS = {
     },
 }
 
+# closed-form family -> config keys of its two couplings
+_COUPLINGS = {"triangle": ("J12", "J13"), "parallelogram": ("a12", "a13")}
+_FAMILY_OF_SITES = {3: "triangle", 4: "parallelogram"}
 _FIELD_KEYS = {"kind", "amplitude", "angular_rate", "t_start", "t_end"}
 _SCHEMAS = {
     "q-spectrum": {"sites", "weights"},
@@ -64,17 +67,6 @@ _SCHEMAS = {
     "levels-report": {"b_min", "b_max", "n_grid", "delta_gap", "gamma"},
     "simulate": {"A", "inv_temp", "gamma", "delta_gap", "field", "init",
                  "n_steps", "lzs_mode", "mode"},
-}
-
-# Canonical invariant label of each closed-form level: collective spin,
-# invariant eigenvalue, and occurrence index inside its (S, m) group
-# (the two q = -1/2 triplets share the eigenvalue).
-_LEVEL_KEYS = {
-    3: {"alpha": (0.5, -0.25, 0), "beta": (0.5, -2.25, 0),
-        "quartet": (1.5, -1.0, 0)},
-    4: {"quintet": (2.0, -2.5, 0), "triplet1": (1.0, -0.5, 0),
-        "triplet2": (1.0, -5.5, 0), "triplet3": (1.0, -0.5, 1),
-        "singlet_plus": (0.0, -1.0, 0), "singlet_minus": (0.0, -3.0, 0)},
 }
 
 
@@ -150,36 +142,28 @@ def _cmd_commutant(cfg) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _ground_labels(levelset) -> list:
-    energies = [lev.energy for lev in levelset.levels]
-    tol = spectra.DEFAULT_TIE_RTOL * max(1.0, max(abs(e) for e in energies))
-    ground = min(energies)
-    return [lev.label for lev in levelset.levels if lev.energy <= ground + tol]
-
-
-def _levelset_for(cfg, command: str):
-    family = cfg.get("family", "parallelogram")
-    if family == "triangle":
-        J12, J13 = _require(cfg, command, "J12", "J13")
-        levelset = spectra.triangle_levels(float(J12), float(J13))
-        params = {"J12": float(J12), "J13": float(J13)}
-    elif family == "parallelogram":
-        a12, a13 = _require(cfg, command, "a12", "a13")
-        levelset = spectra.parallelogram_levels(float(a12), float(a13))
-        params = {"a12": float(a12), "a13": float(a13)}
-    else:
+def _levelset_for(cfg, command: str, family: str):
+    if family not in _COUPLINGS:
         raise ConfigError(f"unknown family {family!r}")
-    return family, params, levelset
+    names = _COUPLINGS[family]
+    params = {name: float(value)
+              for name, value in zip(names, _require(cfg, command, *names))}
+    if not all(map(math.isfinite, params.values())):
+        raise ConfigError(f"{command} needs finite couplings, got {params}")
+    levels = (spectra.triangle_levels if family == "triangle"
+              else spectra.parallelogram_levels)
+    return params, levels(*params.values())
 
 
 def _cmd_spectrum(cfg) -> str:
-    family, params, levelset = _levelset_for(cfg, "spectrum")
+    family = cfg.get("family", "parallelogram")
+    params, levelset = _levelset_for(cfg, "spectrum", family)
     doc = {
         "family": family,
         "params": params,
         "levels": [dataclasses.asdict(lev) for lev in levelset.levels],
         "weighted_sum": levelset.weighted_sum(),
-        "ground_labels": _ground_labels(levelset),
+        "ground_labels": levelset.ground_labels(),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -198,53 +182,45 @@ def _cmd_phase_map(cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _select_invariant_state(register, label, m, level):
-    spin, q_target, occurrence = _LEVEL_KEYS[register.n_sites][label]
-    matches = [st for st in multiplets.invariant_eigenstates(register)
-               if st.S == spin and st.m == m and abs(st.q - q_target) < 1e-9]
-    if occurrence >= len(matches):
-        raise ConfigError(
-            f"no invariant state with S = {spin}, m = {m} for {label!r}")
-    return matches[occurrence]
-
-
 def _cmd_moments(cfg) -> str:
     sites = int(cfg.get("sites", 4))
-    if sites == 3:
-        family = "triangle"
-    elif sites == 4:
-        family = "parallelogram"
-    else:
+    if sites not in _FAMILY_OF_SITES:
         raise ConfigError("moments needs sites = 3 or 4")
     register = SpinRegister(sites)
-    cfg_family = dict(cfg)
-    cfg_family["family"] = family
-    _, params, levelset = _levelset_for(cfg_family, "moments")
+    family = _FAMILY_OF_SITES[sites]
+    params, levelset = _levelset_for(cfg, "moments", family)
+    g = float(cfg.get("g", 2.0))
+    if not math.isfinite(g):
+        raise ConfigError(f"moments needs a finite g, got {g}")
     label = cfg.get("label")
     if label is None:
-        winners = _ground_labels(levelset)
+        winners = levelset.ground_labels()
         if len(winners) > 1:
             raise ConfigError(
                 f"ground level is degenerate ({winners}); pass 'label'")
         label = winners[0]
-    if label not in _LEVEL_KEYS[sites]:
+    if label not in levelset.by_label():
         raise ConfigError(f"unknown level label {label!r}")
     level = levelset.by_label()[label]
     m = float(cfg.get("m", -level.S))
     if abs(m) > level.S or (2.0 * m) != round(2.0 * m):
         raise ConfigError(f"m = {m} is not a valid projection for S = {level.S}")
-    state = _select_invariant_state(register, label, m, level)
-    if family == "triangle":
-        ham = spectra.triangle_hamiltonian(register, params["J12"], params["J13"])
-    else:
-        ham = spectra.parallelogram_hamiltonian(register, params["a12"], params["a13"])
+    spin, q_target, occurrence = spectra.invariant_key(family, label)
+    matches = [st for st in multiplets.invariant_eigenstates(register)
+               if st.S == spin and st.m == m and abs(st.q - q_target) < 1e-9]
+    if occurrence >= len(matches):
+        raise ConfigError(
+            f"no invariant state with S = {spin}, m = {m} for {label!r}")
+    state = matches[occurrence]
+    hamiltonian = (spectra.triangle_hamiltonian if family == "triangle"
+                   else spectra.parallelogram_hamiltonian)
+    ham = hamiltonian(register, *params.values())
     residual = float(np.linalg.norm(ham @ state.vector - level.energy * state.vector))
     scale = max(1.0, abs(level.energy))
     if residual > 1e-9 * scale:
         raise NumericalCheckError(
             f"state for {label!r} fails its eigen-equation: residual {residual:.3e}")
-    moments = observables.local_moments(register, state.vector,
-                                        float(cfg.get("g", 2.0)))
+    moments = observables.local_moments(register, state.vector, g)
     doc = {
         "sites": sites,
         "params": params,

@@ -37,6 +37,7 @@ TRAJECTORY_POP_TOL = 1e-7     # invariant claimed for accepted output
 LEVEL_ZERO_COUNT_ATOL = 1e-9
 INVARIANT_LEVEL_ATOL = 1e-9
 _EXP_UNDERFLOW = -700.0
+_COEFF_BLOCK = 4096  # RK4 steps per coefficient evaluation; bounds memory
 
 LEVELS = ("+", "0", "-")
 _N_OF = {"+": 1.0, "0": 0.0, "-": -1.0}
@@ -84,29 +85,39 @@ class FieldProfile:
         if not self.t_end > self.t_start:
             raise ConfigError("t_end must exceed t_start")
 
-    def field(self, t: float) -> float:
+    def field(self, t):
+        """B(t); a float for a scalar t, an array for an array of times."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "sinusoid":
-            return self.amplitude * math.sin(self.angular_rate * t)
-        if self.kind == "linear_ramp":
+            b = self.amplitude * np.sin(self.angular_rate * t)
+        elif self.kind == "linear_ramp":
             frac = (t - self.t_start) / (self.t_end - self.t_start)
-            return self.amplitude * (2.0 * frac - 1.0)
-        return self.amplitude
+            b = self.amplitude * (2.0 * frac - 1.0)
+        else:
+            b = np.full(t.shape, self.amplitude)
+        return _as_float(b)
 
 
-def transition_rate(A: float, inv_temp: float, delta: float) -> float:
-    """One-phonon rate A*delta^3/(1-exp(-inv_temp*delta)); W(0)=0."""
+def _as_float(value):
+    """A float for a scalar, a float array otherwise."""
+    value = np.asarray(value, dtype=float)
+    return value if value.ndim else float(value)
+
+
+def transition_rate(A: float, inv_temp: float, delta):
+    """One-phonon rate A*delta^3/(1-exp(-inv_temp*delta)), elementwise
+    for an array delta; W(0)=0, and W=0 below the exp underflow."""
     if A <= 0 or inv_temp <= 0:
         raise ConfigError("transition_rate needs A > 0 and inv_temp > 0")
-    if delta == 0.0:
-        return 0.0
+    delta = np.asarray(delta, dtype=float)
     t = inv_temp * delta
-    if t < _EXP_UNDERFLOW:
-        return 0.0
-    return -A * delta * delta * delta / math.expm1(-t)
+    with np.errstate(all="ignore"):  # dead entries (0/0, overflow) masked below
+        rate = -A * delta * delta * delta / np.expm1(-t)
+    return _as_float(np.where((delta == 0.0) | (t < _EXP_UNDERFLOW), 0.0, rate))
 
 
-def level_transition_rates(scale: float, params: RateParams) -> dict:
-    """All six W_{NN'} for the ladder E_N = scale*N."""
+def level_transition_rates(scale, params: RateParams) -> dict:
+    """All six W_{NN'} for the ladder E_N = scale*N (scale may be an array)."""
     rates = {}
     for a, b in LEVEL_PAIRS:
         delta = scale * (_N_OF[a] - _N_OF[b])
@@ -129,15 +140,16 @@ def rate_matrix_coefficients(W: dict, mode: str = "derived") -> RateCoefficients
     x = rho_++ - rho_--; d/dt (x, rho00) = [[C1,C2],[C3,C4]]·(x, rho00)
     + (E, F).  mode="derived" is the reduction itself;
     mode="paper_verbatim" reproduces a printed variant whose C1 differs
-    from the derivation by +W_{+0}.
+    from the derivation by +W_{+0}.  Rates may be arrays of equal shape;
+    the coefficients are then arrays too.
     """
     if mode not in COEFF_MODES:
         raise ConfigError(f"unknown coefficient mode {mode!r}")
     try:
-        w = {pair: float(W[pair]) for pair in LEVEL_PAIRS}
+        w = {pair: _as_float(W[pair]) for pair in LEVEL_PAIRS}
     except KeyError as missing:
         raise ConfigError(f"rate table missing pair {missing}") from None
-    if min(w.values()) < 0:
+    if min(np.min(rate) for rate in w.values()) < 0:
         raise ConfigError("negative transition rate")
     wpo, wop = w[("+", "0")], w[("0", "+")]
     wmo, wom = w[("-", "0")], w[("0", "-")]
@@ -225,6 +237,12 @@ def _initial_state(init, scale0: float, params: RateParams):
     return n0, rho00
 
 
+def _reduced_derivative(c: tuple, n: float, rho00: float):
+    """d/dt (n, rho00), n = -x, under coefficients c = (C1, ..., F)."""
+    c1, c2, c3, c4, e, f = c
+    return c1 * n - c2 * rho00 - e, -c3 * n + c4 * rho00 + f
+
+
 def integrate_magnetization(params: RateParams, profile: FieldProfile,
                             init="equilibrium", n_steps: int = 2000,
                             lzs_mode: str = "off",
@@ -237,44 +255,22 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
     if coeff_mode not in COEFF_MODES:
         raise ConfigError(f"unknown coefficient mode {coeff_mode!r}")
 
-    A, beta, gamma, gap = (params.A, params.inv_temp,
-                           params.gamma, params.delta_gap)
+    gamma, gap = params.gamma, params.delta_gap
     adiabatic = lzs_mode == "adiabatic"
-    verbatim = coeff_mode == "paper_verbatim"
-    field = profile.field
-    expm1 = math.expm1
-    hypot = math.hypot
 
-    def rate(delta):
-        if delta == 0.0:
-            return 0.0
-        t = beta * delta
-        if t < _EXP_UNDERFLOW:
-            return 0.0
-        return -A * delta * delta * delta / expm1(-t)
+    def level_scale(b):
+        return np.hypot(gamma * b, gap) if adiabatic else gamma * b
 
-    def deriv(t, n, rho00):
-        b_now = field(t)
-        s = hypot(gamma * b_now, gap) if adiabatic else gamma * b_now
-        # W_{+0} = W_{0-} = rate(s); W_{0+} = W_{-0} = rate(-s)
-        wa, wb = rate(s), rate(-s)
-        wc, wd = rate(2.0 * s), rate(-2.0 * s)
-        c1 = -0.5 * (wa + wb) - wc - wd
-        if verbatim:
-            c1 += wa
-        c2 = 0.5 * (wb - wa) + wc - wd
-        c3 = 0.5 * (wa - wb)
-        c4 = -1.5 * (wa + wb)
-        e = 0.5 * (wb - wa) + wd - wc
-        f = 0.5 * (wa + wb)
-        # n = -x, so the (x, rho00) system maps to:
-        return c1 * n - c2 * rho00 - e, -c3 * n + c4 * rho00 + f
+    def coefficients(b):
+        """(C1, ..., F) at each field of the array b, as float tuples."""
+        c = rate_matrix_coefficients(
+            level_transition_rates(level_scale(b), params), coeff_mode)
+        return list(zip(*(v.tolist() for v in c)))
 
     h = (profile.t_end - profile.t_start) / n_steps
     t_nodes = profile.t_start + h * np.arange(n_steps + 1)
-    b_nodes = np.array([field(t) for t in t_nodes])
-    scale0 = hypot(gamma * b_nodes[0], gap) if adiabatic else gamma * b_nodes[0]
-    n_now, rho_now = _initial_state(init, scale0, params)
+    b_nodes = profile.field(t_nodes)
+    n_now, rho_now = _initial_state(init, level_scale(b_nodes[0]), params)
 
     n_out = np.empty(n_steps + 1)
     rho_out = np.empty(n_steps + 1)
@@ -291,18 +287,23 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
                 f"{minus:.3e}); increase n_steps")
         if i == n_steps:
             break
-        t = t_nodes[i]
-        k1n, k1r = deriv(t, n_now, rho_now)
-        k2n, k2r = deriv(t + 0.5 * h, n_now + 0.5 * h * k1n,
-                         rho_now + 0.5 * h * k1r)
-        k3n, k3r = deriv(t + 0.5 * h, n_now + 0.5 * h * k2n,
-                         rho_now + 0.5 * h * k2r)
-        k4n, k4r = deriv(t + h, n_now + h * k3n, rho_now + h * k3r)
+        j = i % _COEFF_BLOCK
+        if j == 0:
+            stop = min(i + _COEFF_BLOCK, n_steps)
+            at_node = coefficients(b_nodes[i:stop + 1])
+            at_half = coefficients(profile.field(t_nodes[i:stop] + 0.5 * h))
+        k1n, k1r = _reduced_derivative(at_node[j], n_now, rho_now)
+        k2n, k2r = _reduced_derivative(at_half[j], n_now + 0.5 * h * k1n,
+                                       rho_now + 0.5 * h * k1r)
+        k3n, k3r = _reduced_derivative(at_half[j], n_now + 0.5 * h * k2n,
+                                       rho_now + 0.5 * h * k2r)
+        k4n, k4r = _reduced_derivative(at_node[j + 1], n_now + h * k3n,
+                                       rho_now + h * k3r)
         n_now += (h / 6.0) * (k1n + 2.0 * (k2n + k3n) + k4n)
         rho_now += (h / 6.0) * (k1r + 2.0 * (k2r + k3r) + k4r)
 
     if adiabatic:
-        omega = np.hypot(gamma * b_nodes, gap)
+        omega = level_scale(b_nodes)
         cos_beta = np.where(omega > 0.0, gamma * b_nodes / np.where(
             omega > 0.0, omega, 1.0), 0.0)
         m_norm = cos_beta * n_out

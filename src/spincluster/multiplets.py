@@ -11,7 +11,7 @@ site weights, where Q is the conserved quadratic invariant built in
 :mod:`spincluster.yangian`.  For four sites the invariant eigenvalue -1/2
 is shared by two S = 1 branches; the pair returned by :func:`mixing_pair`
 spans that degenerate block in the order assumed by the mixing-angle
-conventions of :mod:`spincluster.commutant`.
+conventions of :mod:`spincluster.symmetry`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .operators import SpinRegister, fix_phase, superposition, total_spin
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
 _SQ5 = np.sqrt(5.0)
-_SQ6 = np.sqrt(6.0)
 _SQ10 = np.sqrt(10.0)
 
 # Seed states (m = -S members) for each register size.  Branch order at equal

@@ -9,6 +9,7 @@ grid.
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,12 +23,60 @@ from .symmetry import (
 
 CLOSED_FORM_ATOL = 1e-10
 DEFAULT_TIE_RTOL = 1e-9
+_GRID_BLOCK = 4096  # points per evaluation; whole-grid arrays fragment the heap
 
-TRIANGLE_LABELS = ("alpha", "beta", "quartet")
-PARALLELOGRAM_LABELS = (
-    "quintet", "triplet1", "triplet2", "triplet3",
-    "singlet_plus", "singlet_minus",
+
+class LevelRow(NamedTuple):
+    """A closed-form level; q is its Q eigenvalue at zero site weights."""
+
+    label: str
+    S: float
+    multiplicity: int
+    q: float
+    energy: Callable  # energy(x, y) in the family's couplings, or arrays
+
+
+# Rows sharing (S, q) are told apart by their order in the table.
+TRIANGLE_LEVELS = (
+    LevelRow("alpha", 0.5, 2, -0.25, lambda J12, J13: J13 / 4.0 - J12),
+    LevelRow("beta", 0.5, 2, -2.25, lambda J12, J13: -0.75 * J13),
+    LevelRow("quartet", 1.5, 4, -1.0, lambda J12, J13: J12 / 2.0 + J13 / 4.0),
 )
+PARALLELOGRAM_LEVELS = (
+    LevelRow("quintet", 2.0, 5, -2.5, lambda a12, a13: a12 + 0.5 * a13),
+    LevelRow("triplet1", 1.0, 3, -0.5, lambda a12, a13: -0.5 * a13),
+    LevelRow("triplet2", 1.0, 3, -5.5,
+             lambda a12, a13: a12 / 3.0 - 5.0 * a13 / 6.0),
+    LevelRow("triplet3", 1.0, 3, -0.5,
+             lambda a12, a13: -4.0 * a12 / 3.0 + 5.0 * a13 / 6.0),
+    LevelRow("singlet_plus", 0.0, 1, -1.0,
+             lambda a12, a13: -2.0 * a12 + 0.5 * a13),
+    LevelRow("singlet_minus", 0.0, 1, -3.0, lambda a12, a13: -1.5 * a13),
+)
+LEVEL_TABLES = {"triangle": TRIANGLE_LEVELS,
+                "parallelogram": PARALLELOGRAM_LEVELS}
+
+
+def invariant_key(family: str, label: str) -> tuple:
+    """(S, q, occurrence) of a level's invariant eigenstates, where
+    occurrence counts the earlier rows of the table with the same (S, q)."""
+    keys = [(row.S, row.q) for row in LEVEL_TABLES[family]]
+    k = [row.label for row in LEVEL_TABLES[family]].index(label)
+    return (*keys[k], keys[:k].count(keys[k]))
+
+
+def tied_ground(energies, tie_tol: float = None):
+    """(winners, ground): the levels (axis 0) within tie_tol of the lowest
+    one, and its energy, at each point of the remaining axes.  The default
+    tie_tol is DEFAULT_TIE_RTOL * max(1, largest |energy| at the point)."""
+    energies = np.asarray(energies, dtype=float)
+    if tie_tol is None:
+        tie_tol = DEFAULT_TIE_RTOL * np.maximum(
+            1.0, np.max(np.abs(energies), axis=0))
+    elif tie_tol <= 0:
+        raise ConfigError("tie tolerance must be positive")
+    ground = np.min(energies, axis=0)
+    return energies <= ground + tie_tol, ground
 
 
 @dataclass(frozen=True)
@@ -58,26 +107,25 @@ class LevelSet:
     def by_label(self) -> dict:
         return {lev.label: lev for lev in self.levels}
 
+    def ground_labels(self) -> list:
+        """Labels of the levels tied for the lowest energy."""
+        winners, _ = tied_ground([lev.energy for lev in self.levels])
+        return [lev.label for lev, won in zip(self.levels, winners) if won]
+
+
+def _levelset(table, x: float, y: float) -> LevelSet:
+    return LevelSet(tuple(Level(row.label, row.S, row.energy(x, y),
+                                row.multiplicity) for row in table))
+
 
 def triangle_levels(J12: float, J13: float) -> LevelSet:
     """Three levels of the isosceles three-site cluster."""
-    return LevelSet((
-        Level("alpha", 0.5, J13 / 4.0 - J12, 2),
-        Level("beta", 0.5, -0.75 * J13, 2),
-        Level("quartet", 1.5, J12 / 2.0 + J13 / 4.0, 4),
-    ))
+    return _levelset(TRIANGLE_LEVELS, J12, J13)
 
 
 def parallelogram_levels(a12: float, a13: float) -> LevelSet:
     """Six levels of the equal-opposite-edge four-site family."""
-    return LevelSet((
-        Level("quintet", 2.0, a12 + 0.5 * a13, 5),
-        Level("triplet1", 1.0, -0.5 * a13, 3),
-        Level("triplet2", 1.0, a12 / 3.0 - 5.0 * a13 / 6.0, 3),
-        Level("triplet3", 1.0, -4.0 * a12 / 3.0 + 5.0 * a13 / 6.0, 3),
-        Level("singlet_plus", 0.0, -2.0 * a12 + 0.5 * a13, 1),
-        Level("singlet_minus", 0.0, -1.5 * a13, 1),
-    ))
+    return _levelset(PARALLELOGRAM_LEVELS, a12, a13)
 
 
 def triangle_hamiltonian(register: SpinRegister, J12: float, J13: float):
@@ -113,26 +161,28 @@ class PhasePoint:
     ground_energy: float
 
 
+def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> list:
+    """One PhasePoint per (a12, a13) pair of two float arrays."""
+    energies = np.array([row.energy(a12, a13) for row in PARALLELOGRAM_LEVELS])
+    winners, ground = tied_ground(energies, tie_tol)
+    # each distinct winner pattern is summarized once
+    patterns, which = np.unique(winners, axis=1, return_inverse=True)
+    summaries = []
+    for pattern in patterns.T:
+        rows = [row for row, won in zip(PARALLELOGRAM_LEVELS, pattern) if won]
+        spins = {row.S for row in rows}
+        summaries.append((tuple(row.label for row in rows),
+                          rows[0].S if len(spins) == 1 else "degenerate-mixed"))
+    return [PhasePoint(x, y, *summaries[k], energy) for x, y, k, energy
+            in zip(a12.tolist(), a13.tolist(), which.reshape(-1).tolist(),
+                   ground.tolist())]
+
+
 def classify_ground(a12: float, a13: float,
                     tie_tol: float = None) -> PhasePoint:
     """All levels within tie_tol of the minimum of the four-site family."""
-    levelset = parallelogram_levels(a12, a13)
-    energies = np.array([lev.energy for lev in levelset.levels])
-    if tie_tol is None:
-        tie_tol = DEFAULT_TIE_RTOL * max(1.0, float(np.max(np.abs(energies))))
-    if tie_tol <= 0:
-        raise ConfigError("tie tolerance must be positive")
-    ground = float(np.min(energies))
-    winners = [lev for lev in levelset.levels
-               if lev.energy <= ground + tie_tol]
-    spins = {lev.S for lev in winners}
-    ground_S = winners[0].S if len(spins) == 1 else "degenerate-mixed"
-    return PhasePoint(
-        a12=a12, a13=a13,
-        ground_labels=tuple(lev.label for lev in winners),
-        ground_S=ground_S,
-        ground_energy=ground,
-    )
+    return _classify(np.array([a12], dtype=float), np.array([a13], dtype=float),
+                     tie_tol)[0]
 
 
 def _axis(bounds, n_grid: int) -> np.ndarray:
@@ -147,11 +197,14 @@ def _axis(bounds, n_grid: int) -> np.ndarray:
 
 
 def phase_map(a12_range, a13_range, n_grid: int) -> list:
-    """Ground-state classification on a regular coupling grid."""
+    """Ground-state classification on a regular coupling grid, a13
+    running fastest, evaluated ``_GRID_BLOCK`` points at a time."""
+    a12, a13 = np.meshgrid(_axis(a12_range, n_grid), _axis(a13_range, n_grid),
+                           indexing="ij")
     points = []
-    for a12 in _axis(a12_range, n_grid):
-        for a13 in _axis(a13_range, n_grid):
-            points.append(classify_ground(float(a12), float(a13)))
+    for start in range(0, a12.size, _GRID_BLOCK):
+        block = slice(start, start + _GRID_BLOCK)
+        points += _classify(a12.ravel()[block], a13.ravel()[block])
     return points
 
 

@@ -27,10 +27,10 @@ from .operators import (
     HERMITICITY_ATOL,
     SpinRegister,
     commutator,
-    hermitian_eig,
     site_spin,
     spin_dot,
 )
+from .yangian import build_q
 
 COMMUTANT_SVD_RTOL = 1e-10
 FAMILY_COMMUTATOR_ATOL = 1e-9
@@ -154,20 +154,6 @@ def commutator_defect(register: SpinRegister, q_matrix: np.ndarray,
     return float(np.max(np.abs(commutator(q_matrix, h))))
 
 
-def q_block_offdiag_mass(q_matrix: np.ndarray, h: np.ndarray) -> float:
-    """Max |<a|H|b>| between distinct eigenspaces of Q."""
-    spec = hermitian_eig(q_matrix)
-    mass = 0.0
-    for lo_a, hi_a in spec.groups:
-        for lo_b, hi_b in spec.groups:
-            if (lo_a, hi_a) == (lo_b, hi_b):
-                continue
-            block = (spec.eigenvectors[:, lo_a:hi_a].conj().T
-                     @ h @ spec.eigenvectors[:, lo_b:hi_b])
-            mass = max(mass, float(np.max(np.abs(block))))
-    return mass
-
-
 def constrained_couplings_triangle(J12: float, J13: float) -> CouplingSet:
     """Isosceles three-site family: a12 = a23 free, a13 free."""
     return CouplingSet(3, {(1, 2): J12, (2, 3): J12, (1, 3): J13})
@@ -251,7 +237,6 @@ def _check_membership(register: SpinRegister, couplings) -> CouplingSet:
         raise ConfigError("mixing angle is defined for the four-site family")
     scale = max(1.0, float(np.max(np.abs(couplings.vector()))))
     if family_fill_residual(couplings) > FAMILY_COMMUTATOR_ATOL * scale:
-        from .yangian import build_q
         defect = commutator_defect(register, build_q(register, np.zeros(4)),
                                    couplings)
         raise ConfigError(

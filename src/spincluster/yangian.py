@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
-from .multiplets import LabeledState, branches
+from .multiplets import _SEEDS, LabeledState, branches
 from .operators import (
     DEGENERACY_GTOL,
     SpinRegister,
@@ -337,15 +337,6 @@ def check_yangian_axioms(register: SpinRegister, weights) -> AxiomReport:
     )
 
 
-def q_scalar_defect(register: SpinRegister, weights) -> float:
-    """Max norm of [I_a, Q]; zero because Q is an SU(2) scalar."""
-    q = build_q(register, weights)
-    total = total_spin(register)
-    return max(
-        float(np.max(np.abs(commutator(total[a], q)))) for a in range(3)
-    )
-
-
 # --------------------------------------------------------------------------
 # joint eigenbasis
 
@@ -365,7 +356,7 @@ def q_joint_labels(register: SpinRegister, weights) -> list:
             f"triple prefactors {triple_prefactors(u)}"
         )
     q = build_q(register, weights)
-    spin_values = sorted({s for s, _ in _sector_iter(register)}, reverse=True)
+    spin_values = sorted({S for S, _ in _SEEDS[register.n_sites]}, reverse=True)
     out = []
     for S in spin_values:
         sector_branches = branches(register, S)
@@ -388,14 +379,6 @@ def q_joint_labels(register: SpinRegister, weights) -> list:
                     degenerate=groups[idx],
                 ))
     return out
-
-
-def _sector_iter(register: SpinRegister):
-    if register.n_sites == 2:
-        return [(1.0, 1), (0.0, 1)]
-    if register.n_sites == 3:
-        return [(1.5, 1), (0.5, 2)]
-    return [(2.0, 1), (1.0, 3), (0.0, 2)]
 
 
 def _group(evals: np.ndarray) -> list:

@@ -181,6 +181,19 @@ def test_moments_rejects_invalid_projection(tmp_path):
     assert "projection" in err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("spectrum", {"family": "parallelogram", "a12": float("nan"), "a13": -3.0}),
+    ("spectrum", {"family": "triangle", "J12": float("inf"), "J13": 7.0}),
+    ("moments", {"sites": 4, "a12": 1.0, "a13": -3.0, "g": float("nan")}),
+])
+def test_non_finite_couplings_and_g_are_config_errors(tmp_path, command,
+                                                      payload):
+    code, out, err = run(command, write_cfg(tmp_path, payload))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_phase_map_csv(tmp_path):
     path = write_cfg(tmp_path, {"a12_range": [0.5, 1.0],
                                 "a13_range": [-4.0, -3.0], "n_grid": 2})

@@ -12,6 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from spincluster.dynamics import (
+    COEFF_MODES,
     DETAILED_BALANCE_RTOL,
     LEVEL_PAIRS,
     FieldProfile,
@@ -70,6 +71,28 @@ def test_rate_deep_underflow_is_zero():
     assert transition_rate(1.0, 1.0, -800.0) == 0.0
 
 
+# zero, both signs, tiny, ordinary, large, and both sides of the
+# exp-underflow cut (inv_temp * delta = -700)
+EDGE_DELTAS = [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 2.0, -2.0, 25.0,
+               -25.0, -699.9, -700.1, -800.0, 1e3]
+
+
+def test_rate_on_arrays_matches_scalar_calls():
+    deltas = np.array(EDGE_DELTAS)
+    rates = transition_rate(1.3, 1.0, deltas)
+    scalars = [transition_rate(1.3, 1.0, d) for d in EDGE_DELTAS]
+    assert all(type(w) is float for w in scalars)
+    assert rates.tolist() == scalars
+    assert transition_rate(1.3, 1.0, deltas.reshape(2, 7)).shape == (2, 7)
+    # the math-module formula the rate had before it took arrays
+    for delta, got in zip(EDGE_DELTAS, scalars):
+        if delta == 0.0 or delta < -700.0:
+            assert got == 0.0
+        else:
+            want = -1.3 * delta * delta * delta / math.expm1(-delta)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 # --- reduction coefficients ---------------------------------------------
 
 def test_equal_rates_coefficients():
@@ -84,6 +107,20 @@ def test_equal_rates_coefficients():
 def test_zero_rates_zero_coefficients():
     w = {pair: 0.0 for pair in LEVEL_PAIRS}
     assert all(v == 0.0 for v in rate_matrix_coefficients(w))
+
+
+@pytest.mark.parametrize("mode", COEFF_MODES)
+def test_coefficients_on_arrays_match_scalar_calls(mode):
+    params = RateParams(A=0.7, inv_temp=1.0)
+    scales = np.array(EDGE_DELTAS)   # 2 * -400 also passes the cut
+    scales = np.append(scales, [400.0, -400.0])
+    arrays = rate_matrix_coefficients(
+        level_transition_rates(scales, params), mode)
+    for k, scale in enumerate(scales.tolist()):
+        scalar = rate_matrix_coefficients(
+            level_transition_rates(scale, params), mode)
+        assert all(type(c) is float for c in scalar)
+        assert tuple(c[k] for c in arrays) == scalar
 
 
 def test_coefficients_validate_input():
@@ -245,6 +282,31 @@ def test_rho00_mode_report_is_small_but_nonzero():
     report = rho00_mode_report(RateParams(delta_gap=0.1),
                                FieldProfile(t_end=math.pi), n_steps=20000)
     assert 0.0 < report["max_rho00_gap"] < 0.05
+
+
+# enclosed_area at 20k steps under both preset field profiles, recorded
+# before the integrator took its coefficients from the vectorized
+# reduction; a mild drive keeps paper_verbatim inside the simplex.
+PINNED_AREAS = {
+    ("fig4-loop", "derived"): 0.546888383808267,
+    ("fig4-loop", "paper_verbatim"): 0.6642160558435579,
+    ("fig5-lzs", "derived"): 0.1974146361784963,
+    ("fig5-lzs", "paper_verbatim"): 0.24817394936552262,
+}
+PRESET_SWEEPS = {
+    "fig4-loop": (FieldProfile(t_end=2.0 * math.pi), "off"),
+    "fig5-lzs": (FieldProfile(t_end=math.pi), "adiabatic"),
+}
+
+
+@pytest.mark.parametrize("preset, mode", sorted(PINNED_AREAS))
+def test_enclosed_area_is_pinned(preset, mode):
+    profile, lzs_mode = PRESET_SWEEPS[preset]
+    traj = integrate_magnetization(
+        RateParams(A=0.1, inv_temp=0.1, delta_gap=0.1), profile,
+        n_steps=20000, lzs_mode=lzs_mode, coeff_mode=mode)
+    assert enclosed_area(traj) == pytest.approx(PINNED_AREAS[preset, mode],
+                                                rel=1e-12, abs=0.0)
 
 
 def test_enclosed_area_needs_samples():

@@ -108,6 +108,22 @@ def test_phase_map_grid_shape_and_validation():
         phase_map((0.0, 1.0), (-5.0, -3.0), 0)
 
 
+def test_phase_map_through_exact_ties_matches_pointwise_classification():
+    # step 1 on (-3, 3)^2 hits the origin (all six levels tie) and the
+    # a12 = a13 diagonal (the two singlets tie)
+    points = phase_map((-3.0, 3.0), (-3.0, 3.0), 7)
+    grid = [(a12, a13) for a12 in range(-3, 4) for a13 in range(-3, 4)]
+    assert [(pt.a12, pt.a13) for pt in points] == grid
+    for pt in points:
+        assert pt == classify_ground(pt.a12, pt.a13)
+        levelset = parallelogram_levels(pt.a12, pt.a13)
+        assert list(pt.ground_labels) == levelset.ground_labels()
+    table = {(pt.a12, pt.a13): pt for pt in points}
+    assert len(table[0.0, 0.0].ground_labels) == 6
+    assert table[0.0, 0.0].ground_S == "degenerate-mixed"
+    assert table[2.0, 2.0].ground_labels == ("singlet_plus", "singlet_minus")
+
+
 def test_ordering_claim_is_reported_not_asserted():
     report = ordering_report(1.0, -3.0)
     assert report["actual_order"][0] == "triplet3"
