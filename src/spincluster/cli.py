@@ -94,13 +94,32 @@ def _require(cfg: dict, command: str, *names):
     return [cfg[name] for name in names]
 
 
+def _integer(value, name: str) -> int:
+    """A config value read by ``int``; ConfigError when it cannot be."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _finite(value, name: str) -> float:
+    """A config value read by ``float``; ConfigError unless finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 def _register_and_weights(cfg):
-    sites = int(cfg.get("sites", 3))
+    sites = _integer(cfg.get("sites", 3), "sites")
     register = SpinRegister(sites)
     weights = cfg.get("weights", [0.0] * sites)
-    if np.asarray(weights, dtype=float).shape != (sites,):
+    if not isinstance(weights, (list, tuple)) or len(weights) != sites:
         raise ConfigError(f"weights must be a list of {sites} numbers")
-    return register, [float(w) for w in weights]
+    return register, [_finite(w, "weights") for w in weights]
 
 
 def _cmd_q_spectrum(cfg) -> str:
@@ -146,10 +165,8 @@ def _levelset_for(cfg, command: str, family: str):
     if family not in _COUPLINGS:
         raise ConfigError(f"unknown family {family!r}")
     names = _COUPLINGS[family]
-    params = {name: float(value)
+    params = {name: _finite(value, name)
               for name, value in zip(names, _require(cfg, command, *names))}
-    if not all(map(math.isfinite, params.values())):
-        raise ConfigError(f"{command} needs finite couplings, got {params}")
     levels = (spectra.triangle_levels if family == "triangle"
               else spectra.parallelogram_levels)
     return params, levels(*params.values())
@@ -171,7 +188,8 @@ def _cmd_spectrum(cfg) -> str:
 def _cmd_phase_map(cfg) -> str:
     a12_range, a13_range, n_grid = _require(
         cfg, "phase-map", "a12_range", "a13_range", "n_grid")
-    points = spectra.phase_map(a12_range, a13_range, int(n_grid))
+    points = spectra.phase_map(a12_range, a13_range,
+                               _integer(n_grid, "n_grid"))
     lines = ["a12,a13,ground_labels,ground_S,ground_energy"]
     for pt in points:
         spin = pt.ground_S if isinstance(pt.ground_S, str) else _fmt(pt.ground_S)
@@ -183,15 +201,13 @@ def _cmd_phase_map(cfg) -> str:
 
 
 def _cmd_moments(cfg) -> str:
-    sites = int(cfg.get("sites", 4))
+    sites = _integer(cfg.get("sites", 4), "sites")
     if sites not in _FAMILY_OF_SITES:
         raise ConfigError("moments needs sites = 3 or 4")
     register = SpinRegister(sites)
     family = _FAMILY_OF_SITES[sites]
     params, levelset = _levelset_for(cfg, "moments", family)
-    g = float(cfg.get("g", 2.0))
-    if not math.isfinite(g):
-        raise ConfigError(f"moments needs a finite g, got {g}")
+    g = _finite(cfg.get("g", 2.0), "g")
     label = cfg.get("label")
     if label is None:
         winners = levelset.ground_labels()
@@ -202,7 +218,7 @@ def _cmd_moments(cfg) -> str:
     if label not in levelset.by_label():
         raise ConfigError(f"unknown level label {label!r}")
     level = levelset.by_label()[label]
-    m = float(cfg.get("m", -level.S))
+    m = _finite(cfg.get("m", -level.S), "m")
     if abs(m) > level.S or (2.0 * m) != round(2.0 * m):
         raise ConfigError(f"m = {m} is not a valid projection for S = {level.S}")
     spin, q_target, occurrence = spectra.invariant_key(family, label)
@@ -237,20 +253,14 @@ def _cmd_moments(cfg) -> str:
 
 def _cmd_levels_report(cfg) -> str:
     b_min, b_max, n_grid = _require(cfg, "levels-report", "b_min", "b_max", "n_grid")
-    n_grid = int(n_grid)
+    n_grid = _integer(n_grid, "n_grid")
     if n_grid < 1:
         raise ConfigError("n_grid must be at least 1")
-    grid = np.linspace(float(b_min), float(b_max), n_grid)
+    grid = np.linspace(_finite(b_min, "b_min"), _finite(b_max, "b_max"), n_grid)
     report = dynamics.coupled_levels_report(
-        grid, float(cfg.get("delta_gap", 0.1)), float(cfg.get("gamma", 1.0)))
-    lines = ["B,level,numeric,printed,corrected"]
-    for i, b_val in enumerate(report.b_grid):
-        for k in range(9):
-            lines.append(",".join([
-                _fmt(b_val), str(k), _fmt(report.numeric[i, k]),
-                _fmt(report.printed[i, k]), _fmt(report.corrected[i, k]),
-            ]))
-    return "\n".join(lines) + "\n"
+        grid, _finite(cfg.get("delta_gap", 0.1), "delta_gap"),
+        _finite(cfg.get("gamma", 1.0), "gamma"))
+    return report.to_csv()
 
 
 def _cmd_simulate(cfg) -> str:

@@ -22,6 +22,7 @@ default and the integrator's ground truth) and ``paper_verbatim``
 (one coefficient differs; kept for comparison).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
-from .operators import VectorOperator, cross_component, hermitian_eig, spin_matrices
+from .operators import VectorOperator, checked_eigh, cross_component, spin_matrices
 
 DETAILED_BALANCE_RTOL = 1e-12
 POPULATION_WINDOW = 1e-6      # integrator abort threshold
@@ -38,6 +39,7 @@ LEVEL_ZERO_COUNT_ATOL = 1e-9
 INVARIANT_LEVEL_ATOL = 1e-9
 _EXP_UNDERFLOW = -700.0
 _COEFF_BLOCK = 4096  # RK4 steps per coefficient evaluation; bounds memory
+_FIELD_BLOCK = 4096  # field points per stacked 9x9 eigh; bounds memory
 
 LEVELS = ("+", "0", "-")
 _N_OF = {"+": 1.0, "0": 0.0, "-": -1.0}
@@ -372,31 +374,55 @@ def lzs_eigenvectors(beta: float) -> np.ndarray:
     return np.column_stack([v_minus, v_zero, v_plus])
 
 
-def coupled_spin1_hamiltonian(B: float, delta_gap: float,
-                              gamma: float = 1.0) -> np.ndarray:
-    """Two exchange-locked moments: Zeeman term plus y-component of the
-    antisymmetric coupling, on the 3x3 product space of two spin-1's."""
+@functools.cache
+def _spin1_pair_terms():
+    """The Zeeman sum Lz + Rz and the y-cross term (L x R)_y of two
+    spin-1 moments, as read-only 9x9 matrices, built on first use."""
     single = spin_matrices(1.0)
     eye = np.eye(3)
     left = VectorOperator(*(np.kron(op, eye) for op in single))
     right = VectorOperator(*(np.kron(eye, op) for op in single))
-    zeeman = gamma * B * (left.z + right.z)
-    return zeeman + delta_gap * cross_component(left, right, 1)
+    terms = (left.z + right.z, cross_component(left, right, 1))
+    for term in terms:
+        term.setflags(write=False)
+    return terms
 
 
-def _nine_level_closed_forms(b: float, delta_gap: float, corrected: bool):
-    """Sorted 9-level prediction; flag True if a squared level went
-    negative (possible for the uncorrected radical)."""
+def coupled_spin1_hamiltonian(B, delta_gap: float,
+                              gamma: float = 1.0) -> np.ndarray:
+    """Two exchange-locked moments: Zeeman term plus y-component of the
+    antisymmetric coupling, on the 3x3 product space of two spin-1's.
+    An array of fields gives a stack of 9x9 matrices, one per field."""
+    zeeman, cross = _spin1_pair_terms()
+    b_eff = gamma * np.asarray(B, dtype=float)
+    return b_eff[..., None, None] * zeeman + delta_gap * cross
+
+
+def _exact_hypot(b: np.ndarray, delta_gap: float) -> np.ndarray:
+    """sqrt(b^2 + delta_gap^2) by math.hypot: np.hypot may take a SIMD
+    path that differs in the last bit."""
+    return np.array([math.hypot(value, delta_gap) for value in b.tolist()])
+
+
+def _nine_level_closed_forms(b: np.ndarray, delta_gap: float, corrected: bool):
+    """Sorted 9-level predictions, one row per effective field in b; flag
+    True if a squared level went negative (possible for the uncorrected
+    radical)."""
+    # b**4 on numpy scalars: np.power may take a SIMD path that differs
+    # in the last bit
+    b4 = np.array([value ** 4 for value in b])
     middle = 30.0 * b * b * (delta_gap * delta_gap if corrected else 1.0)
-    radical = math.sqrt(9.0 * b ** 4 + middle + delta_gap ** 4)
+    radical = np.sqrt(9.0 * b4 + middle + delta_gap ** 4)
     base = 5.0 * b * b + 3.0 * delta_gap * delta_gap
     ea_sq = 0.5 * (base + radical)
     eb_sq = 0.5 * (base - radical)
-    imaginary = eb_sq < 0.0 or ea_sq < 0.0
-    ea = math.sqrt(max(ea_sq, 0.0))
-    eb = math.sqrt(max(eb_sq, 0.0))
-    inv = math.hypot(b, delta_gap)
-    levels = np.sort([0.0, 0.0, 0.0, inv, -inv, ea, -ea, eb, -eb])
+    imaginary = bool(np.any((eb_sq < 0.0) | (ea_sq < 0.0)))
+    ea = np.sqrt(np.where(ea_sq < 0.0, 0.0, ea_sq))
+    eb = np.sqrt(np.where(eb_sq < 0.0, 0.0, eb_sq))
+    inv = _exact_hypot(b, delta_gap)
+    zero = np.zeros_like(b)
+    levels = np.sort(np.stack(
+        [zero, zero, zero, inv, -inv, ea, -ea, eb, -eb], axis=1), axis=1)
     return levels, imaginary
 
 
@@ -414,6 +440,40 @@ class LevelComparisonReport:
     min_zero_count: int
     invariant_pair_max_dev: float
 
+    def to_csv(self) -> str:
+        """One row per field point and level, floats at 17 significant
+        digits, formatted ``_FIELD_BLOCK`` points at a time."""
+        point = "".join(f"%.17g,{k},%.17g,%.17g,%.17g\n" for k in range(9))
+        chunks = ["B,level,numeric,printed,corrected\n"]
+        for start in range(0, self.b_grid.size, _FIELD_BLOCK):
+            block = slice(start, start + _FIELD_BLOCK)
+            rows = np.stack(np.broadcast_arrays(
+                self.b_grid[block, None], self.numeric[block],
+                self.printed[block], self.corrected[block]), axis=-1)
+            chunks.append((point * len(rows)) % tuple(rows.ravel().tolist()))
+        return "".join(chunks)
+
+
+def _check_nine_levels(b_block, evals, omega, delta_gap):
+    """Zero count and the +-omega pair at each point of a block; raises at
+    the first failing point.  Returns (fewest zeros, worst pair gap)."""
+    zeros = np.count_nonzero(np.abs(evals) <= LEVEL_ZERO_COUNT_ATOL, axis=1)
+    targets = np.stack([omega, -omega], axis=1)
+    devs = np.min(np.abs(evals[:, None, :] - targets[:, :, None]), axis=2)
+    failed = (zeros < 3) | np.any(devs > INVARIANT_LEVEL_ATOL, axis=1)
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        if zeros[i] < 3:
+            raise NumericalCheckError(
+                f"only {zeros[i]} zero eigenvalues at B = {b_block[i]:.6g} "
+                f"(delta_gap = {delta_gap})")
+        for target, dev in zip(targets[i].tolist(), devs[i].tolist()):
+            if dev > INVARIANT_LEVEL_ATOL:
+                raise NumericalCheckError(
+                    f"level {target:.6g} missing from 9x9 spectrum at "
+                    f"B = {b_block[i]:.6g}: nearest is {dev:.3e} away")
+    return int(zeros.min()), float(devs.max())
+
 
 def coupled_levels_report(B_grid, delta_gap: float,
                           gamma: float = 1.0) -> LevelComparisonReport:
@@ -421,38 +481,37 @@ def coupled_levels_report(B_grid, delta_gap: float,
 
     Asserts only the robust pieces - at least three zero eigenvalues
     and the +-sqrt((gamma*B)^2+delta_gap^2) pair - and reports the rest.
+    The grid is diagonalized ``_FIELD_BLOCK`` points per stacked eigh.
     """
     b_grid = np.asarray(B_grid, dtype=float).reshape(-1)
     if b_grid.size == 0:
         raise ConfigError("empty field grid")
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        b_eff = gamma * b_grid
+    if not (np.all(np.isfinite(b_eff)) and math.isfinite(delta_gap)):
+        raise ConfigError(
+            "levels report needs finite fields, gamma*B and delta_gap")
     numeric = np.empty((b_grid.size, 9))
     printed = np.empty_like(numeric)
     corrected = np.empty_like(numeric)
     any_imag = False
     min_zeros = 9
     worst_invariant = 0.0
-    for i, b_val in enumerate(b_grid):
-        ham = coupled_spin1_hamiltonian(b_val, delta_gap, gamma)
-        evals = hermitian_eig(ham).eigenvalues
-        numeric[i] = evals
-        b_eff = gamma * b_val
-        printed[i], was_imag = _nine_level_closed_forms(b_eff, delta_gap, False)
-        corrected[i], _ = _nine_level_closed_forms(b_eff, delta_gap, True)
+    for start in range(0, b_grid.size, _FIELD_BLOCK):
+        block = slice(start, start + _FIELD_BLOCK)
+        evals, _ = checked_eigh(
+            coupled_spin1_hamiltonian(b_grid[block], delta_gap, gamma))
+        numeric[block] = evals
+        printed[block], was_imag = _nine_level_closed_forms(
+            b_eff[block], delta_gap, False)
+        corrected[block], _ = _nine_level_closed_forms(
+            b_eff[block], delta_gap, True)
         any_imag = any_imag or was_imag
-        zeros = int(np.count_nonzero(np.abs(evals) <= LEVEL_ZERO_COUNT_ATOL))
+        zeros, worst = _check_nine_levels(
+            b_grid[block], evals, _exact_hypot(b_eff[block], delta_gap),
+            delta_gap)
         min_zeros = min(min_zeros, zeros)
-        if zeros < 3:
-            raise NumericalCheckError(
-                f"only {zeros} zero eigenvalues at B = {b_val:.6g} "
-                f"(delta_gap = {delta_gap})")
-        omega = math.hypot(b_eff, delta_gap)
-        for target in (omega, -omega):
-            dev = float(np.min(np.abs(evals - target)))
-            worst_invariant = max(worst_invariant, dev)
-            if dev > INVARIANT_LEVEL_ATOL:
-                raise NumericalCheckError(
-                    f"level {target:.6g} missing from 9x9 spectrum at "
-                    f"B = {b_val:.6g}: nearest is {dev:.3e} away")
+        worst_invariant = max(worst_invariant, worst)
     return LevelComparisonReport(
         b_grid=b_grid,
         delta_gap=float(delta_gap),

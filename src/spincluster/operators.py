@@ -189,18 +189,28 @@ class Spectrum:
         return [(float(np.mean(self.eigenvalues[g])), len(g)) for g in self.groups]
 
 
-def hermitian_eig(matrix: np.ndarray, gtol: float = DEGENERACY_GTOL) -> Spectrum:
-    """Diagonalize a Hermitian matrix and group (near-)degenerate levels.
+def checked_eigh(matrix: np.ndarray):
+    """``np.linalg.eigh`` of the Hermitian part of a matrix, or of a stack
+    of matrices along the leading axes.
 
-    Raises NumericalCheckError when the input fails Hermiticity by more than
-    the module tolerance; the message reports the largest asymmetry.
+    Raises NumericalCheckError when any matrix fails Hermiticity by more
+    than the module tolerance; the message reports the largest asymmetry.
     """
-    asym = np.max(np.abs(matrix - matrix.conj().T))
+    adjoint = np.swapaxes(matrix, -1, -2).conj()
+    asym = np.max(np.abs(matrix - adjoint))
     if asym > HERMITICITY_ATOL:
         raise NumericalCheckError(
             f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}"
         )
-    vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    return np.linalg.eigh((matrix + adjoint) / 2)
+
+
+def hermitian_eig(matrix: np.ndarray, gtol: float = DEGENERACY_GTOL) -> Spectrum:
+    """Diagonalize a Hermitian matrix and group (near-)degenerate levels.
+
+    The Hermiticity gate is that of :func:`checked_eigh`.
+    """
+    vals, vecs = checked_eigh(matrix)
     vecs = np.column_stack([fix_phase(vecs[:, i]) for i in range(vecs.shape[1])])
     groups, start = [], 0
     for i in range(1, len(vals) + 1):

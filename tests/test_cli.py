@@ -5,6 +5,7 @@ bytes on stdout/stderr are all observable.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -194,6 +195,33 @@ def test_non_finite_couplings_and_g_are_config_errors(tmp_path, command,
     assert "finite" in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("commutant", {"sites": "four"}),
+    ("q-spectrum", {"sites": "four"}),
+    ("check-yangian", {"sites": "four"}),
+    ("moments", {"sites": "four", "a12": 1.0, "a13": -3.0}),
+    ("q-spectrum", {"sites": 3, "weights": ["a", 0, 0]}),
+    ("check-yangian", {"sites": 3, "weights": [NAN, 0, 0]}),
+    ("phase-map", {"a12_range": [0, 1], "a13_range": [0, 1], "n_grid": "x"}),
+    ("moments", {"sites": 4, "a12": 1.0, "a13": -3.0, "m": NAN}),
+    ("levels-report", {"b_min": -1, "b_max": 1, "n_grid": 3,
+                       "delta_gap": NAN}),
+    ("levels-report", {"b_min": NAN, "b_max": 1, "n_grid": 3}),
+    ("levels-report", {"b_min": -1, "b_max": 1, "n_grid": 3, "gamma": INF}),
+    ("levels-report", {"b_min": -1, "b_max": 1, "n_grid": "x"}),
+    ("levels-report", {"b_min": -1e200, "b_max": 1e200, "n_grid": 3,
+                       "gamma": 1e200}),
+])
+def test_malformed_numbers_are_config_errors(tmp_path, command, payload):
+    code, out, err = run(command, write_cfg(tmp_path, payload))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+
+
 def test_phase_map_csv(tmp_path):
     path = write_cfg(tmp_path, {"a12_range": [0.5, 1.0],
                                 "a13_range": [-4.0, -3.0], "n_grid": 2})
@@ -252,6 +280,21 @@ def test_levels_report_csv(tmp_path):
     lines = out.splitlines()
     assert lines[0] == "B,level,numeric,printed,corrected"
     assert len(lines) == 1 + 3 * 9
+
+
+# sha256 of stdout as written by the point-by-point report, before the
+# grid was diagonalized in stacked blocks
+@pytest.mark.parametrize("payload, digest", [
+    ({"b_min": -3.0, "b_max": 2.0, "n_grid": 37, "delta_gap": 0.7,
+      "gamma": 1.3},
+     "dbb1015379592747806f7ce573f7e1ce8ab875c2fea9090e17db5c85e40b9ee9"),
+    ({"b_min": 1.0, "b_max": -1.0, "n_grid": 5, "delta_gap": 0.0},
+     "a7014a56277278daa97147e389e0d88674167b954ef3acd4d094a16a7d1e8d73"),
+])
+def test_levels_report_bytes_are_pinned(tmp_path, payload, digest):
+    code, out, _ = run("levels-report", write_cfg(tmp_path, payload))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_is_deterministic():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from spincluster import dynamics
 from spincluster.dynamics import (
     COEFF_MODES,
     DETAILED_BALANCE_RTOL,
@@ -32,6 +33,7 @@ from spincluster.dynamics import (
     transition_rate,
 )
 from spincluster.errors import ConfigError, NumericalCheckError
+from spincluster.operators import hermitian_eig
 
 RATE = st.floats(min_value=0.0, max_value=50.0,
                  allow_nan=False, allow_infinity=False)
@@ -387,6 +389,75 @@ def test_levels_report_separates_the_two_radical_readings():
 def test_levels_report_rejects_empty_grid():
     with pytest.raises(ConfigError):
         coupled_levels_report([], 1.0)
+
+
+@pytest.mark.parametrize("grid, delta_gap, gamma", [
+    ([0.0, math.nan], 0.1, 1.0),
+    ([1.0], math.inf, 1.0),
+    ([1.0], 0.1, -math.inf),
+    ([-1e200, 1e200], 0.1, 1e200),  # gamma*B overflows
+])
+def test_levels_report_rejects_non_finite_input(grid, delta_gap, gamma):
+    with pytest.raises(ConfigError, match="finite"):
+        coupled_levels_report(grid, delta_gap, gamma)
+
+
+def _closed_forms_reference(b, delta_gap, corrected):
+    """The nine closed-form levels at one effective field b, point by point."""
+    middle = 30.0 * b * b * (delta_gap * delta_gap if corrected else 1.0)
+    radical = math.sqrt(9.0 * b ** 4 + middle + delta_gap ** 4)
+    base = 5.0 * b * b + 3.0 * delta_gap * delta_gap
+    ea = math.sqrt(max(0.5 * (base + radical), 0.0))
+    eb = math.sqrt(max(0.5 * (base - radical), 0.0))
+    inv = math.hypot(b, delta_gap)
+    return np.sort([0.0, 0.0, 0.0, inv, -inv, ea, -ea, eb, -eb])
+
+
+@pytest.mark.parametrize("grid, delta_gap, gamma", [
+    (np.linspace(-3.0, 3.0, 23), 0.7, 1.3),
+    (np.linspace(-2.0, 2.0, 9), 0.0, 1.0),
+    ([0.4], 0.2, 1.0),
+    (np.linspace(2.0, -1.0, 7), 0.05, 2.0),
+    (np.linspace(-0.5, 0.5, 13), 0.01, 1.0),
+])
+def test_levels_report_matches_per_point_reference(monkeypatch, grid,
+                                                   delta_gap, gamma):
+    # blocks of 4 points, so most grids span several stacked eigh calls
+    monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
+    report = coupled_levels_report(grid, delta_gap, gamma)
+    b_grid = np.asarray(grid, dtype=float)
+    numeric = [hermitian_eig(coupled_spin1_hamiltonian(b, delta_gap, gamma))
+               .eigenvalues for b in b_grid]
+    printed = [_closed_forms_reference(gamma * b, delta_gap, False)
+               for b in b_grid]
+    corrected = [_closed_forms_reference(gamma * b, delta_gap, True)
+                 for b in b_grid]
+    assert np.array_equal(report.b_grid, b_grid)
+    assert np.array_equal(report.numeric, numeric)
+    assert np.array_equal(report.printed, printed)
+    assert np.array_equal(report.corrected, corrected)
+
+
+@pytest.mark.parametrize("bound, message", [
+    ("LEVEL_ZERO_COUNT_ATOL",
+     r"^only 0 zero eigenvalues at B = -2\.5 \(delta_gap = 0\.3\)$"),
+    ("INVARIANT_LEVEL_ATOL",
+     r"^level 2\.51794 missing from 9x9 spectrum at B = -2\.5: nearest is "),
+])
+def test_levels_report_gates_name_the_first_field(monkeypatch, bound,
+                                                  message):
+    monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
+    monkeypatch.setattr(dynamics, bound, -1.0)
+    with pytest.raises(NumericalCheckError, match=message):
+        coupled_levels_report(np.linspace(-2.5, 2.5, 11), 0.3)
+
+
+def test_levels_report_gate_fires_in_a_later_block(monkeypatch):
+    # at B = 1e30 the +-omega pair is lost to rounding in the 9x9 eigh
+    monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
+    with pytest.raises(NumericalCheckError,
+                       match=r"^level -1e\+30 missing .* at B = 1e\+30:"):
+        coupled_levels_report([0.5, 1.0, 1.5, 2.0, 2.5, 1e30, 3.0], 0.2)
 
 
 def test_rate_params_validation():

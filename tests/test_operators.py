@@ -7,6 +7,7 @@ from spincluster.errors import ConfigError, NumericalCheckError
 from spincluster.operators import (
     SpinRegister,
     basis_index,
+    checked_eigh,
     casimir,
     commutator,
     cross,
@@ -111,6 +112,15 @@ def test_cross_antisymmetry_and_triple():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NumericalCheckError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_checked_eigh_gates_every_matrix_of_a_stack():
+    good = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, -1.0]])
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    vals, _ = checked_eigh(np.stack([good, 3.0 * good]))
+    assert np.array_equal(vals[1], hermitian_eig(3.0 * good).eigenvalues)
+    with pytest.raises(NumericalCheckError, match="not Hermitian"):
+        checked_eigh(np.stack([good, bad, good]))
 
 
 def test_hermitian_eig_groups_degeneracies():
