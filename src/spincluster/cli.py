@@ -2,8 +2,9 @@
 
 One JSON config document per invocation (positional path or
 ``--config``), optionally seeded from a named preset; scalar flags
-override config fields.  All output is deterministic: JSON with sorted
-keys, CSV floats at 17 significant digits.  Exit codes: 0 success,
+override config fields.  The merged config is read once against its
+subcommand's spec in ``_SPECS``.  All output is deterministic: JSON with
+sorted keys, CSV floats at 17 significant digits.  Exit codes: 0 success,
 2 configuration/validation problem, 3 failed numerical check.
 """
 
@@ -21,6 +22,8 @@ from . import dynamics, multiplets, observables, spectra, symmetry, yangian
 from .errors import ConfigError, NumericalCheckError
 from .operators import SpinRegister
 
+_SINUSOID = {"kind": "sinusoid", "amplitude": 10.0, "angular_rate": 1.0,
+             "t_start": 0.0}
 PRESETS = {
     "v6-triangle": {
         "spectrum": {"family": "triangle", "J12": 65.0, "J13": 7.0},
@@ -30,61 +33,92 @@ PRESETS = {
         "spectrum": {"family": "parallelogram", "a12": 1.0, "a13": -3.0},
         "moments": {"sites": 4, "a12": 1.0, "a13": -3.0, "m": -1.0},
     },
-    "fig4-loop": {
-        "simulate": {
-            "field": {"kind": "sinusoid", "amplitude": 10.0,
-                      "angular_rate": 1.0, "t_start": 0.0,
-                      "t_end": 2.0 * math.pi},
-            "init": "equilibrium",
-            "n_steps": 100000,
-            "lzs_mode": "off",
-        },
-    },
-    "fig5-lzs": {
-        "simulate": {
-            "field": {"kind": "sinusoid", "amplitude": 10.0,
-                      "angular_rate": 1.0, "t_start": 0.0,
-                      "t_end": math.pi},
-            "delta_gap": 0.1,
-            "init": "equilibrium",
-            "n_steps": 100000,
-            "lzs_mode": "adiabatic",
-        },
-    },
+    "fig4-loop": {"simulate": {
+        "field": {**_SINUSOID, "t_end": 2.0 * math.pi},
+        "init": "equilibrium", "n_steps": 100000, "lzs_mode": "off",
+    }},
+    "fig5-lzs": {"simulate": {
+        "field": {**_SINUSOID, "t_end": math.pi}, "delta_gap": 0.1,
+        "init": "equilibrium", "n_steps": 100000, "lzs_mode": "adiabatic",
+    }},
 }
 
 # closed-form family -> config keys of its two couplings
 _COUPLINGS = {"triangle": ("J12", "J13"), "parallelogram": ("a12", "a13")}
 _FAMILY_OF_SITES = {3: "triangle", 4: "parallelogram"}
-_FIELD_KEYS = {"kind", "amplitude", "angular_rate", "t_start", "t_end"}
-_SCHEMAS = {
-    "q-spectrum": {"sites", "weights"},
-    "check-yangian": {"sites", "weights"},
-    "commutant": {"sites", "weights"},
-    "spectrum": {"family", "J12", "J13", "a12", "a13"},
-    "phase-map": {"a12_range", "a13_range", "n_grid"},
-    "moments": {"sites", "J12", "J13", "a12", "a13", "m", "g", "label"},
-    "levels-report": {"b_min", "b_max", "n_grid", "delta_gap", "gamma"},
-    "simulate": {"A", "inv_temp", "gamma", "delta_gap", "field", "init",
-                 "n_steps", "lzs_mode", "mode"},
-}
 
 
 def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _validate_keys(cfg: dict, command: str):
-    unknown = set(cfg) - _SCHEMAS[command]
+# Config value kinds: each reads one JSON value or raises ConfigError.
+def _number(value, name: str) -> float:
+    """A finite JSON number, not a bool or a numeric string, as a float."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integral(value, name: str) -> int:
+    """An integral JSON number of size at most 2**53, as an int."""
+    if type(value) not in (int, float) \
+            or not (abs(value) <= 2 ** 53 and value == int(value)):
+        raise ConfigError(f"{name} must be an integer up to 2**53, got {value!r}")
+    return int(value)
+
+
+def _string(value, name: str) -> str:
+    if type(value) is not str:
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _numbers(value, name: str) -> list:
+    if type(value) is not list:
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(item, name) for item in value]
+
+
+# subcommand -> config key -> kind; a dict is the spec of a nested object.
+# Only the keys a config sets reach the library, whose defaults fill in
+# the rest.  ``init`` is passed as is: ``dynamics`` checks it.
+_WEIGHTED = {"sites": _integral, "weights": _numbers}
+_COUPLING_KINDS = {name: _number for names in _COUPLINGS.values() for name in names}
+_SPECS = {
+    "q-spectrum": _WEIGHTED,
+    "check-yangian": _WEIGHTED,
+    "commutant": _WEIGHTED,
+    "spectrum": {"family": _string, **_COUPLING_KINDS},
+    "phase-map": {"a12_range": _numbers, "a13_range": _numbers,
+                  "n_grid": _integral},
+    "moments": {"sites": _integral, **_COUPLING_KINDS, "m": _number,
+                "g": _number, "label": _string},
+    "levels-report": {"b_min": _number, "b_max": _number, "n_grid": _integral,
+                      "delta_gap": _number, "gamma": _number},
+    "simulate": {"A": _number, "inv_temp": _number, "gamma": _number,
+                 "delta_gap": _number, "init": lambda value, name: value,
+                 "n_steps": _integral, "lzs_mode": _string, "mode": _string,
+                 "field": {"kind": _string, "amplitude": _number,
+                           "angular_rate": _number, "t_start": _number,
+                           "t_end": _number}},
+}
+
+
+def _read(cfg, spec: dict, where: str) -> dict:
+    """The config object ``cfg`` with every value read by its kind."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(cfg) - set(spec)
     if unknown:
-        raise ConfigError(
-            f"unknown config keys for {command}: {sorted(unknown)}")
-    if "field" in cfg:
-        if not isinstance(cfg["field"], dict):
-            raise ConfigError("'field' must be an object")
-        bad = set(cfg["field"]) - _FIELD_KEYS
-        if bad:
-            raise ConfigError(f"unknown field keys: {sorted(bad)}")
+        raise ConfigError(f"unknown config keys for {where}: {sorted(unknown)}")
+    return {key: _read(value, spec[key], key) if isinstance(spec[key], dict)
+            else spec[key](value, key) for key, value in cfg.items()}
+
+
+def _given(cfg: dict, *names) -> dict:
+    """The named keys that the config sets, for a library call's kwargs."""
+    return {name: cfg[name] for name in names if name in cfg}
 
 
 def _require(cfg: dict, command: str, *names):
@@ -94,62 +128,48 @@ def _require(cfg: dict, command: str, *names):
     return [cfg[name] for name in names]
 
 
-def _integer(value, name: str) -> int:
-    """A config value read by ``int``; ConfigError when it cannot be."""
+def _json(doc) -> str:
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _finite(value, name: str) -> float:
-    """A config value read by ``float``; ConfigError unless finite."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return number
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalCheckError("result is not finite (NaN or infinity)") from None
 
 
 def _register_and_weights(cfg):
-    sites = _integer(cfg.get("sites", 3), "sites")
+    sites = cfg.get("sites", 3)
     register = SpinRegister(sites)
     weights = cfg.get("weights", [0.0] * sites)
-    if not isinstance(weights, (list, tuple)) or len(weights) != sites:
+    if len(weights) != sites:
         raise ConfigError(f"weights must be a list of {sites} numbers")
-    return register, [_finite(w, "weights") for w in weights]
+    return register, weights
 
 
 def _cmd_q_spectrum(cfg) -> str:
     register, weights = _register_and_weights(cfg)
     spectrum = yangian.q_spectrum(register, weights)
     states = yangian.q_joint_labels(register, weights)
-    doc = {
+    return _json({
         "sites": register.n_sites,
         "weights": weights,
         "eigenvalues": [{"value": value, "multiplicity": count}
                         for value, count in spectrum.multiplicities()],
         "states": [{"S": st.S, "m": st.m, "q": st.q,
                     "degenerate": st.degenerate} for st in states],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _cmd_check_yangian(cfg) -> str:
     register, weights = _register_and_weights(cfg)
     report = yangian.check_yangian_axioms(register, weights)
-    doc = {"sites": register.n_sites, "weights": weights}
-    doc.update(dataclasses.asdict(report))
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json({"sites": register.n_sites, "weights": weights,
+                  **dataclasses.asdict(report)})
 
 
 def _cmd_commutant(cfg) -> str:
     register, weights = _register_and_weights(cfg)
     family = symmetry.commutant_family(register, yangian.build_q(register, weights))
     pairs = symmetry.pair_order(register.n_sites)
-    doc = {
+    return _json({
         "sites": register.n_sites,
         "weights": weights,
         "dimension": family.dimension,
@@ -157,16 +177,14 @@ def _cmd_commutant(cfg) -> str:
         "basis": [{f"{i}-{j}": member.a[(i, j)] for i, j in pairs}
                   for member in family.basis],
         "singular_values": [float(s) for s in family.singular_values],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _levelset_for(cfg, command: str, family: str):
     if family not in _COUPLINGS:
         raise ConfigError(f"unknown family {family!r}")
     names = _COUPLINGS[family]
-    params = {name: _finite(value, name)
-              for name, value in zip(names, _require(cfg, command, *names))}
+    params = dict(zip(names, _require(cfg, command, *names)))
     levels = (spectra.triangle_levels if family == "triangle"
               else spectra.parallelogram_levels)
     return params, levels(*params.values())
@@ -175,21 +193,18 @@ def _levelset_for(cfg, command: str, family: str):
 def _cmd_spectrum(cfg) -> str:
     family = cfg.get("family", "parallelogram")
     params, levelset = _levelset_for(cfg, "spectrum", family)
-    doc = {
+    return _json({
         "family": family,
         "params": params,
         "levels": [dataclasses.asdict(lev) for lev in levelset.levels],
         "weighted_sum": levelset.weighted_sum(),
         "ground_labels": levelset.ground_labels(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _cmd_phase_map(cfg) -> str:
-    a12_range, a13_range, n_grid = _require(
-        cfg, "phase-map", "a12_range", "a13_range", "n_grid")
-    points = spectra.phase_map(a12_range, a13_range,
-                               _integer(n_grid, "n_grid"))
+    points = spectra.phase_map(
+        *_require(cfg, "phase-map", "a12_range", "a13_range", "n_grid"))
     lines = ["a12,a13,ground_labels,ground_S,ground_energy"]
     for pt in points:
         spin = pt.ground_S if isinstance(pt.ground_S, str) else _fmt(pt.ground_S)
@@ -201,13 +216,12 @@ def _cmd_phase_map(cfg) -> str:
 
 
 def _cmd_moments(cfg) -> str:
-    sites = _integer(cfg.get("sites", 4), "sites")
+    sites = cfg.get("sites", 4)
     if sites not in _FAMILY_OF_SITES:
         raise ConfigError("moments needs sites = 3 or 4")
     register = SpinRegister(sites)
     family = _FAMILY_OF_SITES[sites]
     params, levelset = _levelset_for(cfg, "moments", family)
-    g = _finite(cfg.get("g", 2.0), "g")
     label = cfg.get("label")
     if label is None:
         winners = levelset.ground_labels()
@@ -218,7 +232,7 @@ def _cmd_moments(cfg) -> str:
     if label not in levelset.by_label():
         raise ConfigError(f"unknown level label {label!r}")
     level = levelset.by_label()[label]
-    m = _finite(cfg.get("m", -level.S), "m")
+    m = cfg.get("m", -level.S)
     if abs(m) > level.S or (2.0 * m) != round(2.0 * m):
         raise ConfigError(f"m = {m} is not a valid projection for S = {level.S}")
     spin, q_target, occurrence = spectra.invariant_key(family, label)
@@ -232,12 +246,12 @@ def _cmd_moments(cfg) -> str:
                    else spectra.parallelogram_hamiltonian)
     ham = hamiltonian(register, *params.values())
     residual = float(np.linalg.norm(ham @ state.vector - level.energy * state.vector))
-    scale = max(1.0, abs(level.energy))
-    if residual > 1e-9 * scale:
+    if not residual <= 1e-9 * max(1.0, abs(level.energy)):  # NaN fails too
         raise NumericalCheckError(
             f"state for {label!r} fails its eigen-equation: residual {residual:.3e}")
-    moments = observables.local_moments(register, state.vector, g)
-    doc = {
+    moments = observables.local_moments(register, state.vector,
+                                        **_given(cfg, "g"))
+    return _json({
         "sites": sites,
         "params": params,
         "label": label,
@@ -247,42 +261,26 @@ def _cmd_moments(cfg) -> str:
         "g": moments.g,
         "mu": [float(v) for v in moments.mu],
         "total": moments.total,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _cmd_levels_report(cfg) -> str:
     b_min, b_max, n_grid = _require(cfg, "levels-report", "b_min", "b_max", "n_grid")
-    n_grid = _integer(n_grid, "n_grid")
     if n_grid < 1:
         raise ConfigError("n_grid must be at least 1")
-    grid = np.linspace(_finite(b_min, "b_min"), _finite(b_max, "b_max"), n_grid)
-    report = dynamics.coupled_levels_report(
-        grid, _finite(cfg.get("delta_gap", 0.1), "delta_gap"),
-        _finite(cfg.get("gamma", 1.0), "gamma"))
-    return report.to_csv()
+    return dynamics.coupled_levels_report(
+        np.linspace(b_min, b_max, n_grid), cfg.get("delta_gap", 0.1),
+        **_given(cfg, "gamma")).to_csv()
 
 
 def _cmd_simulate(cfg) -> str:
     params = dynamics.RateParams(
-        A=float(cfg.get("A", 1.0)),
-        inv_temp=float(cfg.get("inv_temp", 1.0)),
-        gamma=float(cfg.get("gamma", 1.0)),
-        delta_gap=float(cfg.get("delta_gap", 0.1)),
-    )
-    field_cfg = cfg.get("field", {})
-    profile = dynamics.FieldProfile(**{k: (v if k == "kind" else float(v))
-                                       for k, v in field_cfg.items()})
-    init = cfg.get("init", "equilibrium")
-    if isinstance(init, list):
-        init = tuple(init)
-    trajectory = dynamics.integrate_magnetization(
-        params, profile, init=init,
-        n_steps=int(cfg.get("n_steps", 2000)),
-        lzs_mode=cfg.get("lzs_mode", "off"),
-        coeff_mode=cfg.get("mode", "derived"),
-    )
-    return trajectory.to_csv()
+        **_given(cfg, "A", "inv_temp", "gamma", "delta_gap"))
+    profile = dynamics.FieldProfile(**cfg.get("field", {}))
+    options = _given(cfg, "init", "n_steps", "lzs_mode")
+    if "mode" in cfg:
+        options["coeff_mode"] = cfg["mode"]
+    return dynamics.integrate_magnetization(params, profile, **options).to_csv()
 
 
 _HANDLERS = {
@@ -336,24 +334,18 @@ def _load_config(args) -> dict:
             loaded = json.loads(Path(paths[0]).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {paths[0]}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, an int too long, not UTF-8
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config document must be a JSON object")
-        for key, value in loaded.items():
-            if key == "field" and isinstance(cfg.get("field"), dict) \
-                    and isinstance(value, dict):
-                cfg["field"].update(value)
-            else:
-                cfg[key] = value
-    if getattr(args, "sites", None) is not None:
-        cfg["sites"] = args.sites
-    if getattr(args, "steps", None) is not None:
-        cfg["n_steps"] = args.steps
-    if getattr(args, "mode", None) is not None:
-        cfg["mode"] = args.mode
-    _validate_keys(cfg, args.command)
-    return cfg
+        if isinstance(cfg.get("field"), dict) \
+                and isinstance(loaded.get("field"), dict):
+            loaded["field"] = {**cfg["field"], **loaded["field"]}
+        cfg.update(loaded)
+    for flag, key in (("sites", "sites"), ("steps", "n_steps"), ("mode", "mode")):
+        if getattr(args, flag, None) is not None:
+            cfg[key] = getattr(args, flag)
+    return _read(cfg, _SPECS[args.command], args.command)
 
 
 def main(argv=None) -> int:
@@ -367,15 +359,15 @@ def main(argv=None) -> int:
         return 2
     try:
         text = _HANDLERS[args.command](_load_config(args))
-    except ConfigError as exc:
+        if args.out:
+            Path(args.out).write_text(text)
+    except (ConfigError, MemoryError, OSError) as exc:  # OSError: a given path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalCheckError as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

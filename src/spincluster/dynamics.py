@@ -408,11 +408,11 @@ def _nine_level_closed_forms(b: np.ndarray, delta_gap: float, corrected: bool):
     """Sorted 9-level predictions, one row per effective field in b; flag
     True if a squared level went negative (possible for the uncorrected
     radical)."""
-    # b**4 on numpy scalars: np.power may take a SIMD path that differs
-    # in the last bit
+    # **4 on numpy scalars: np.power may differ in the last bit, and a
+    # float's ** raises OverflowError where a numpy scalar gives inf
     b4 = np.array([value ** 4 for value in b])
     middle = 30.0 * b * b * (delta_gap * delta_gap if corrected else 1.0)
-    radical = np.sqrt(9.0 * b4 + middle + delta_gap ** 4)
+    radical = np.sqrt(9.0 * b4 + middle + np.float64(delta_gap) ** 4)
     base = 5.0 * b * b + 3.0 * delta_gap * delta_gap
     ea_sq = 0.5 * (base + radical)
     eb_sq = 0.5 * (base - radical)
@@ -512,6 +512,8 @@ def coupled_levels_report(B_grid, delta_gap: float,
             delta_gap)
         min_zeros = min(min_zeros, zeros)
         worst_invariant = max(worst_invariant, worst)
+    if not (np.isfinite(printed).all() and np.isfinite(corrected).all()):
+        raise NumericalCheckError("closed-form levels overflow on this grid")
     return LevelComparisonReport(
         b_grid=b_grid,
         delta_gap=float(delta_gap),

@@ -198,7 +198,7 @@ def checked_eigh(matrix: np.ndarray):
     """
     adjoint = np.swapaxes(matrix, -1, -2).conj()
     asym = np.max(np.abs(matrix - adjoint))
-    if asym > HERMITICITY_ATOL:
+    if not asym <= HERMITICITY_ATOL:  # NaN fails too
         raise NumericalCheckError(
             f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}"
         )

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalCheckError
 from .operators import SpinRegister, hermitian_eig
 from .symmetry import (
     constrained_couplings_parallelogram,
@@ -70,6 +70,8 @@ def tied_ground(energies, tie_tol: float = None):
     one, and its energy, at each point of the remaining axes.  The default
     tie_tol is DEFAULT_TIE_RTOL * max(1, largest |energy| at the point)."""
     energies = np.asarray(energies, dtype=float)
+    if not np.isfinite(energies).all():
+        raise NumericalCheckError("level energies are not finite at these couplings")
     if tie_tol is None:
         tie_tol = DEFAULT_TIE_RTOL * np.maximum(
             1.0, np.max(np.abs(energies), axis=0))
@@ -186,8 +188,10 @@ def classify_ground(a12: float, a13: float,
 
 
 def _axis(bounds, n_grid: int) -> np.ndarray:
+    if len(bounds) != 2:
+        raise ConfigError(f"axis range needs two bounds, got {bounds!r}")
     lo, hi = float(bounds[0]), float(bounds[1])
-    if not np.isfinite([lo, hi]).all() or hi < lo:
+    if not np.isfinite([lo, hi, hi - lo]).all() or hi < lo:
         raise ConfigError(f"invalid axis range ({lo}, {hi})")
     if n_grid < 1:
         raise ConfigError("grid must have at least one point per axis")

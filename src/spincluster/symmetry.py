@@ -112,7 +112,7 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray,
                      tol: float = COMMUTANT_SVD_RTOL) -> CouplingFamily:
     """Nullspace of a |-> [Q, H(a)] over coupling space, via SVD."""
     defect = float(np.max(np.abs(q_matrix - q_matrix.conj().T)))
-    if defect > HERMITICITY_ATOL:
+    if not defect <= HERMITICITY_ATOL:  # NaN fails too
         raise ConfigError(f"Q must be Hermitian (defect {defect:.3e})")
     pairs = pair_order(register.n_sites)
     spins = [site_spin(register, k) for k in range(register.n_sites)]

@@ -8,8 +8,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from spincluster.cli import main
 
@@ -50,6 +53,16 @@ def test_missing_config_file():
     code, _, err = run("spectrum", "/no/such/file.json")
     assert code == 2
     assert "not found" in err
+
+
+def test_unusable_paths_are_config_errors(tmp_path):
+    code, out, err = run("spectrum", str(tmp_path))  # a directory
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
+    code, out, err = run("spectrum", "--preset", "v6-triangle",
+                         "--out", str(tmp_path / "missing" / "out.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
 
 
 def test_invalid_json(tmp_path):
@@ -214,12 +227,53 @@ NAN, INF = float("nan"), float("inf")
     ("levels-report", {"b_min": -1, "b_max": 1, "n_grid": "x"}),
     ("levels-report", {"b_min": -1e200, "b_max": 1e200, "n_grid": 3,
                        "gamma": 1e200}),
+    ("simulate", {"A": "x"}),
+    ("simulate", {"n_steps": "x"}),
+    ("simulate", {"field": {"amplitude": "x"}}),
+    ("phase-map", {"a12_range": ["x", 1], "a13_range": [0, 1], "n_grid": 3}),
+    ("phase-map", {"a12_range": 5, "a13_range": [0, 1], "n_grid": 3}),
+    ("phase-map", {"a12_range": [1], "a13_range": [0, 1], "n_grid": 3}),
+    ("spectrum", {"family": ["x"], "a12": 1.0, "a13": -3.0}),
+    ("moments", {"sites": 4, "a12": 1.0, "a13": -3.0, "label": ["x"]}),
+    # values that used to be coerced silently
+    ("moments", {"sites": 4.9, "a12": 1.0, "a13": -3.0}),
+    ("phase-map", {"a12_range": [0, 1], "a13_range": [0, 1], "n_grid": 2.5}),
+    ("simulate", {"n_steps": 20.7}),
+    ("simulate", {"A": True}),
+    ("spectrum", {"family": "triangle", "J12": "65", "J13": 7.0}),
+    # Hermitian weights whose Q overflows
+    ("commutant", {"sites": 3, "weights": [1e200, 2e200, 1e200]}),
 ])
 def test_malformed_numbers_are_config_errors(tmp_path, command, payload):
     code, out, err = run(command, write_cfg(tmp_path, payload))
     assert code == 2
     assert out == ""
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("spectrum", {"family": "parallelogram", "a12": 1e308, "a13": 1e308}),
+    ("check-yangian", {"sites": 3, "weights": [1e308, 1e308, 1e308]}),
+    ("q-spectrum", {"sites": 3, "weights": [1e200, 2e200, 1e200]}),
+    ("phase-map", {"a12_range": [1e308, 1e308], "a13_range": [0, 1],
+                   "n_grid": 2}),
+    ("levels-report", {"b_min": 1, "b_max": 2, "n_grid": 3,
+                       "delta_gap": 1e200}),
+])
+def test_non_finite_results_are_numerical_failures(tmp_path, command, payload):
+    code, out, err = run(command, write_cfg(tmp_path, payload))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical check failed:")
+
+
+def test_size_beyond_memory_is_a_config_error(tmp_path):
+    # numpy refuses the 7.28 TiB axis before allocating any of it
+    payload = {"a12_range": [0, 1], "a13_range": [0, 1], "n_grid": 1e12}
+    code, out, err = run("phase-map", write_cfg(tmp_path, payload))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: Unable to allocate")
 
 
 def test_phase_map_csv(tmp_path):
@@ -310,3 +364,107 @@ def test_preset_overlaid_by_config(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["params"] == {"J12": 65.0, "J13": 9.0}
+
+
+# --- the CLI contract over generated configs ---------------------------------
+
+KEY_SETS = {
+    "q-spectrum": ["sites", "weights"],
+    "check-yangian": ["sites", "weights"],
+    "commutant": ["sites", "weights"],
+    "spectrum": ["family", "J12", "J13", "a12", "a13"],
+    "phase-map": ["a12_range", "a13_range", "n_grid"],
+    "moments": ["sites", "J12", "J13", "a12", "a13", "m", "g", "label"],
+    "levels-report": ["b_min", "b_max", "n_grid", "delta_gap", "gamma"],
+    "simulate": ["A", "inv_temp", "gamma", "delta_gap", "field", "init",
+                 "n_steps", "lzs_mode", "mode"],
+}
+FIELD_KEYS = ["kind", "amplitude", "angular_rate", "t_start", "t_end"]
+WORDS = ["triangle", "parallelogram", "sinusoid", "linear_ramp", "constant",
+         "triplet3", "singlet_minus", "alpha", "quartet", "equilibrium",
+         "polarized_up", "off", "adiabatic", "derived", "paper_verbatim", "x"]
+# sizes stay small so every example runs in milliseconds; a size too large
+# to allocate is test_size_beyond_memory_is_a_config_error
+SIZES = [0, -1, 1, 2, 3, 10, 40, 2.5, "x", True, None, [3]]
+
+EXTREMES = [0.0, 1e-300, 1e200, 1e308, -1e308]
+NUMBERS = st.floats(-10.0, 10.0) | st.sampled_from(EXTREMES)
+SCALARS = (st.none() | st.booleans() | st.integers(-4, 4) | NUMBERS
+           | st.sampled_from([NAN, INF, -INF]) | st.sampled_from(WORDS)
+           | st.sampled_from(["65", "3", "1e3", "nan"]))
+WILD = SCALARS | st.lists(SCALARS, max_size=4)
+# values each subcommand accepts, drawn more often than wild ones so that
+# runs also reach the numerics
+PLAUSIBLE = {
+    "sites": st.sampled_from([2, 3, 4]),
+    "weights": st.lists(NUMBERS, min_size=2, max_size=4),
+    "a12_range": st.lists(NUMBERS, min_size=2, max_size=2).map(sorted),
+    "a13_range": st.lists(NUMBERS, min_size=2, max_size=2).map(sorted),
+    "family": st.sampled_from(["triangle", "parallelogram"]),
+    "label": st.sampled_from(["alpha", "beta", "quartet", "quintet",
+                              "triplet1", "triplet3", "singlet_minus"]),
+    "A": st.floats(0.01, 10.0),
+    "inv_temp": st.floats(0.01, 10.0),
+    "delta_gap": st.floats(0.0, 10.0),
+    "m": st.sampled_from([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2]),
+    "init": st.sampled_from(["equilibrium", "polarized_up"])
+    | st.lists(NUMBERS, min_size=2, max_size=2),
+    "kind": st.sampled_from(["sinusoid", "linear_ramp", "constant"]),
+    "t_start": st.floats(-1.0, 0.0),
+    "t_end": st.floats(0.5, 10.0),
+    "lzs_mode": st.sampled_from(["off", "adiabatic"]),
+    "mode": st.sampled_from(["derived", "paper_verbatim"]),
+}
+
+
+def _value(key):
+    if key in ("n_grid", "n_steps"):
+        return st.sampled_from(SIZES)
+    if key == "field":
+        return st.sampled_from([_object(FIELD_KEYS)] * 7 + [WILD]).flatmap(
+            lambda values: values)
+    plausible = PLAUSIBLE.get(key, NUMBERS)
+    # one value in eight is a wild one
+    return st.sampled_from([plausible] * 7 + [WILD]).flatmap(
+        lambda values: values)
+
+
+def _object(keys):
+    """Config objects over keys, with a few of them left out and, one time
+    in eight, an unknown key."""
+    def trim(doc, dropped, unknown):
+        return {k: v for k, v in doc.items()
+                if k not in dropped and (unknown or k != "bogus")}
+    return st.builds(
+        trim, st.fixed_dictionaries({k: _value(k) for k in keys + ["bogus"]}),
+        st.sets(st.sampled_from(keys), max_size=2),
+        st.sampled_from([False] * 7 + [True]))
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+@seed(505)
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(KEY_SETS)).flatmap(
+    lambda command: st.tuples(st.just(command), _object(KEY_SETS[command]))))
+def test_any_config_exits_cleanly(tmp_path_factory, case):
+    command, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(command, str(path))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+    elif out.startswith("{"):
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        for line in out.splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    number = float(cell)
+                except ValueError:  # a level label
+                    continue
+                assert math.isfinite(number), line

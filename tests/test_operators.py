@@ -123,6 +123,12 @@ def test_checked_eigh_gates_every_matrix_of_a_stack():
         checked_eigh(np.stack([good, bad, good]))
 
 
+def test_checked_eigh_rejects_nan():
+    # NaN compares False with any tolerance, so the gate must not let it by
+    with pytest.raises(NumericalCheckError, match="not Hermitian"):
+        checked_eigh(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
 def test_hermitian_eig_groups_degeneracies():
     mat = np.diag([1.0, 1.0 + 1e-12, 2.0])
     spec = hermitian_eig(mat)
