@@ -48,10 +48,6 @@ _COUPLINGS = {"triangle": ("J12", "J13"), "parallelogram": ("a12", "a13")}
 _FAMILY_OF_SITES = {3: "triangle", 4: "parallelogram"}
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
-
-
 # Config value kinds: each reads one JSON value or raises ConfigError.
 def _number(value, name: str) -> float:
     """A finite JSON number, not a bool or a numeric string, as a float."""
@@ -80,9 +76,14 @@ def _numbers(value, name: str) -> list:
     return [_number(item, name) for item in value]
 
 
+def _init(value, name: str):
+    """A named initial state, or a list of numbers: the (n0, rho00) pair."""
+    return value if type(value) is str else _numbers(value, name)
+
+
 # subcommand -> config key -> kind; a dict is the spec of a nested object.
 # Only the keys a config sets reach the library, whose defaults fill in
-# the rest.  ``init`` is passed as is: ``dynamics`` checks it.
+# the rest.
 _WEIGHTED = {"sites": _integral, "weights": _numbers}
 _COUPLING_KINDS = {name: _number for names in _COUPLINGS.values() for name in names}
 _SPECS = {
@@ -97,7 +98,7 @@ _SPECS = {
     "levels-report": {"b_min": _number, "b_max": _number, "n_grid": _integral,
                       "delta_gap": _number, "gamma": _number},
     "simulate": {"A": _number, "inv_temp": _number, "gamma": _number,
-                 "delta_gap": _number, "init": lambda value, name: value,
+                 "delta_gap": _number, "init": _init,
                  "n_steps": _integral, "lzs_mode": _string, "mode": _string,
                  "field": {"kind": _string, "amplitude": _number,
                            "angular_rate": _number, "t_start": _number,
@@ -203,16 +204,8 @@ def _cmd_spectrum(cfg) -> str:
 
 
 def _cmd_phase_map(cfg) -> str:
-    points = spectra.phase_map(
-        *_require(cfg, "phase-map", "a12_range", "a13_range", "n_grid"))
-    lines = ["a12,a13,ground_labels,ground_S,ground_energy"]
-    for pt in points:
-        spin = pt.ground_S if isinstance(pt.ground_S, str) else _fmt(pt.ground_S)
-        lines.append(",".join([
-            _fmt(pt.a12), _fmt(pt.a13), ";".join(pt.ground_labels),
-            spin, _fmt(pt.ground_energy),
-        ]))
-    return "\n".join(lines) + "\n"
+    return spectra.phase_map(
+        *_require(cfg, "phase-map", "a12_range", "a13_range", "n_grid")).to_csv()
 
 
 def _cmd_moments(cfg) -> str:

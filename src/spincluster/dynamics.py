@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .operators import VectorOperator, checked_eigh, cross_component, spin_matrices
+from .table import csv_text
 
 DETAILED_BALANCE_RTOL = 1e-12
 POPULATION_WINDOW = 1e-6      # integrator abort threshold
@@ -211,10 +212,8 @@ class Trajectory:
         return float(max(np.max(stacked) - 1.0, -np.min(stacked), 0.0))
 
     def to_csv(self) -> str:
-        lines = ["t,B,M_norm,rho00,n"]
-        for row in zip(self.t, self.B, self.M_norm, self.rho00, self.n):
-            lines.append(",".join(f"{value:.17g}" for value in row))
-        return "\n".join(lines) + "\n"
+        return csv_text("t,B,M_norm,rho00,n", ",".join(["%.17g"] * 5) + "\n",
+                        (self.t, self.B, self.M_norm, self.rho00, self.n))
 
 
 def _initial_state(init, scale0: float, params: RateParams):
@@ -441,17 +440,11 @@ class LevelComparisonReport:
     invariant_pair_max_dev: float
 
     def to_csv(self) -> str:
-        """One row per field point and level, floats at 17 significant
-        digits, formatted ``_FIELD_BLOCK`` points at a time."""
+        """One row per field point and level; a point's nine rows are one
+        record, with the level index written into the template."""
         point = "".join(f"%.17g,{k},%.17g,%.17g,%.17g\n" for k in range(9))
-        chunks = ["B,level,numeric,printed,corrected\n"]
-        for start in range(0, self.b_grid.size, _FIELD_BLOCK):
-            block = slice(start, start + _FIELD_BLOCK)
-            rows = np.stack(np.broadcast_arrays(
-                self.b_grid[block, None], self.numeric[block],
-                self.printed[block], self.corrected[block]), axis=-1)
-            chunks.append((point * len(rows)) % tuple(rows.ravel().tolist()))
-        return "".join(chunks)
+        return csv_text("B,level,numeric,printed,corrected", point, (
+            self.b_grid[:, None], self.numeric, self.printed, self.corrected))
 
 
 def _check_nine_levels(b_block, evals, omega, delta_gap):

@@ -20,10 +20,10 @@ from .symmetry import (
     constrained_couplings_triangle,
     heisenberg_hamiltonian,
 )
+from .table import csv_text
 
 CLOSED_FORM_ATOL = 1e-10
 DEFAULT_TIE_RTOL = 1e-9
-_GRID_BLOCK = 4096  # points per evaluation; whole-grid arrays fragment the heap
 
 
 class LevelRow(NamedTuple):
@@ -163,9 +163,40 @@ class PhasePoint:
     ground_energy: float
 
 
-def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> list:
-    """One PhasePoint per (a12, a13) pair of two float arrays."""
-    energies = np.array([row.energy(a12, a13) for row in PARALLELOGRAM_LEVELS])
+@dataclass(frozen=True)
+class PhaseMap:
+    """Ground-state classification as columns over points (a12, a13);
+    ``pattern`` indexes the per-pattern (ground_labels, ground_S)
+    ``summaries``, and ``[k]`` is the PhasePoint of point k."""
+
+    a12: np.ndarray
+    a13: np.ndarray
+    ground_energy: np.ndarray
+    pattern: np.ndarray
+    summaries: tuple
+
+    def __len__(self) -> int:
+        return self.a12.size
+
+    def __getitem__(self, k: int) -> PhasePoint:
+        return PhasePoint(float(self.a12[k]), float(self.a13[k]),
+                          *self.summaries[self.pattern[k]],
+                          float(self.ground_energy[k]))
+
+    def to_csv(self) -> str:
+        """One row per point; the labels and S of a pattern are one cell."""
+        cells = np.array([";".join(labels) + "," + (
+            spin if isinstance(spin, str) else "%.17g" % spin)
+            for labels, spin in self.summaries], dtype=object)
+        return csv_text("a12,a13,ground_labels,ground_S,ground_energy",
+                        "%.17g,%.17g,%s,%.17g\n",
+                        (self.a12, self.a13, cells[self.pattern], self.ground_energy))
+
+
+def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> PhaseMap:
+    """The PhaseMap of the (a12, a13) pairs of two float arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):  # tied_ground raises
+        energies = np.array([row.energy(a12, a13) for row in PARALLELOGRAM_LEVELS])
     winners, ground = tied_ground(energies, tie_tol)
     # each distinct winner pattern is summarized once
     patterns, which = np.unique(winners, axis=1, return_inverse=True)
@@ -175,9 +206,7 @@ def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> list:
         spins = {row.S for row in rows}
         summaries.append((tuple(row.label for row in rows),
                           rows[0].S if len(spins) == 1 else "degenerate-mixed"))
-    return [PhasePoint(x, y, *summaries[k], energy) for x, y, k, energy
-            in zip(a12.tolist(), a13.tolist(), which.reshape(-1).tolist(),
-                   ground.tolist())]
+    return PhaseMap(a12, a13, ground, which.reshape(-1), tuple(summaries))
 
 
 def classify_ground(a12: float, a13: float,
@@ -200,16 +229,12 @@ def _axis(bounds, n_grid: int) -> np.ndarray:
     return np.linspace(lo, hi, n_grid)
 
 
-def phase_map(a12_range, a13_range, n_grid: int) -> list:
+def phase_map(a12_range, a13_range, n_grid: int) -> PhaseMap:
     """Ground-state classification on a regular coupling grid, a13
-    running fastest, evaluated ``_GRID_BLOCK`` points at a time."""
+    running fastest."""
     a12, a13 = np.meshgrid(_axis(a12_range, n_grid), _axis(a13_range, n_grid),
                            indexing="ij")
-    points = []
-    for start in range(0, a12.size, _GRID_BLOCK):
-        block = slice(start, start + _GRID_BLOCK)
-        points += _classify(a12.ravel()[block], a13.ravel()[block])
-    return points
+    return _classify(a12.ravel(), a13.ravel())
 
 
 # The claimed full ordering of the six levels in the region a12 > 0,

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConfigError, NumericalCheckError
 from .multiplets import _SEEDS, LabeledState, branches
 from .operators import (
-    DEGENERACY_GTOL,
     SpinRegister,
     VectorOperator,
     commutator,
@@ -51,18 +50,16 @@ _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
 
 
-def _check_weights(register: SpinRegister, weights) -> np.ndarray:
+def _check_weights(n_sites: int, weights) -> np.ndarray:
     u = np.asarray(weights, dtype=float)
-    if u.shape != (register.n_sites,):
-        raise ConfigError(
-            f"expected {register.n_sites} site weights, got shape {u.shape}"
-        )
+    if u.shape != (n_sites,):
+        raise ConfigError(f"expected {n_sites} site weights, got shape {u.shape}")
     return u
 
 
 def build_yangian(register: SpinRegister, weights) -> VectorOperator:
     """Vector charge Y = sum_k u_k S_k + i sum_{i<j} S_i x S_j."""
-    u = _check_weights(register, weights)
+    u = _check_weights(register.n_sites, weights)
     spins = [site_spin(register, k) for k in range(register.n_sites)]
     comps = []
     for axis in range(3):
@@ -99,9 +96,7 @@ def triple_prefactors(weights) -> np.ndarray:
 
 def q_hermiticity_condition(weights, n_sites: int) -> bool:
     """True iff Q built with these weights is Hermitian."""
-    u = np.asarray(weights, dtype=float)
-    if u.shape != (n_sites,):
-        raise ConfigError(f"expected {n_sites} weights, got shape {u.shape}")
+    u = _check_weights(n_sites, weights)
     if n_sites == 2:
         return True
     return bool(
@@ -122,7 +117,7 @@ def expanded_q(register: SpinRegister, weights) -> np.ndarray:
     scalar-triple products; agrees with :func:`build_q` entrywise for
     arbitrary weights.
     """
-    u = _check_weights(register, weights)
+    u = _check_weights(register.n_sites, weights)
     if register.n_sites == 3:
         return _expanded_q3(register, u)
     if register.n_sites == 4:
@@ -206,9 +201,7 @@ def action_blocks(n_sites: int, weights, mode: str = "derived") -> dict:
     """
     if mode not in ("derived", "paper_verbatim"):
         raise ConfigError(f"unknown action-matrix mode {mode!r}")
-    u = np.asarray(weights, dtype=float)
-    if u.shape != (n_sites,):
-        raise ConfigError(f"expected {n_sites} weights, got shape {u.shape}")
+    u = _check_weights(n_sites, weights)
     if n_sites == 3:
         return _action_blocks_3(u, mode)
     if n_sites == 4:
@@ -346,10 +339,10 @@ def q_joint_labels(register: SpinRegister, weights) -> list:
 
     Requires Hermitian Q (see :func:`q_hermiticity_condition`).  Within
     each (S, m) sector the branch-space block of Q is diagonalized;
-    states sharing all three labels within the degeneracy tolerance are
+    states that share a degeneracy group of :func:`hermitian_eig` are
     flagged degenerate and span an arbitrary orthonormal choice.
     """
-    u = _check_weights(register, weights)
+    u = _check_weights(register.n_sites, weights)
     if not q_hermiticity_condition(u, register.n_sites):
         raise ConfigError(
             "Q is not Hermitian for these weights; "
@@ -366,35 +359,25 @@ def q_joint_labels(register: SpinRegister, weights) -> list:
             cols = np.column_stack([br.member(m) for br in sector_branches])
             block = cols.conj().T @ q @ cols
             if n_branch == 1:
-                evals = np.array([block[0, 0].real])
-                evecs = np.eye(1)
+                evals, evecs, groups = np.array([block[0, 0].real]), np.eye(1), [[0]]
             else:
                 spec = hermitian_eig(block)
-                evals, evecs = spec.eigenvalues, spec.eigenvectors
-            groups = _group(evals)
+                evals, evecs, groups = spec.eigenvalues, spec.eigenvectors, spec.groups
+            shared = {idx: len(group) > 1 for group in groups for idx in group}
             for idx in range(n_branch):
                 vec = fix_phase(cols @ evecs[:, idx])
                 out.append(LabeledState(
                     S=S, m=m, q=float(evals[idx]), vector=vec,
-                    degenerate=groups[idx],
+                    degenerate=shared[idx],
                 ))
     return out
-
-
-def _group(evals: np.ndarray) -> list:
-    flags = [False] * len(evals)
-    for i in range(len(evals)):
-        for j in range(len(evals)):
-            if i != j and abs(evals[i] - evals[j]) < DEGENERACY_GTOL:
-                flags[i] = True
-    return flags
 
 
 def q_spectrum(register: SpinRegister, weights=None):
     """Full spectrum of Q (Hermitian weights only) with degeneracy groups."""
     if weights is None:
         weights = np.zeros(register.n_sites)
-    u = _check_weights(register, weights)
+    u = _check_weights(register.n_sites, weights)
     if not q_hermiticity_condition(u, register.n_sites):
         raise ConfigError("Q spectrum requires Hermitian weights")
     return hermitian_eig(build_q(register, u))

@@ -243,6 +243,9 @@ NAN, INF = float("nan"), float("inf")
     ("spectrum", {"family": "triangle", "J12": "65", "J13": 7.0}),
     # Hermitian weights whose Q overflows
     ("commutant", {"sites": 3, "weights": [1e200, 2e200, 1e200]}),
+    # an explicit initial state is a pair of numbers, like any other number
+    ("simulate", {"init": [True, False]}),
+    ("simulate", {"init": ["0.5", "0"]}),
 ])
 def test_malformed_numbers_are_config_errors(tmp_path, command, payload):
     code, out, err = run(command, write_cfg(tmp_path, payload))
@@ -255,8 +258,10 @@ def test_malformed_numbers_are_config_errors(tmp_path, command, payload):
     ("spectrum", {"family": "parallelogram", "a12": 1e308, "a13": 1e308}),
     ("check-yangian", {"sites": 3, "weights": [1e308, 1e308, 1e308]}),
     ("q-spectrum", {"sites": 3, "weights": [1e200, 2e200, 1e200]}),
-    ("phase-map", {"a12_range": [1e308, 1e308], "a13_range": [0, 1],
-                   "n_grid": 2}),
+    # the overflowing levels are rejected without numpy warnings on stderr
+    pytest.param("phase-map", {"a12_range": [1e308, 1e308], "a13_range": [0, 1],
+                               "n_grid": 2},
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("levels-report", {"b_min": 1, "b_max": 2, "n_grid": 3,
                        "delta_gap": 1e200}),
 ])
@@ -336,17 +341,36 @@ def test_levels_report_csv(tmp_path):
     assert len(lines) == 1 + 3 * 9
 
 
-# sha256 of stdout as written by the point-by-point report, before the
-# grid was diagonalized in stacked blocks
-@pytest.mark.parametrize("payload, digest", [
-    ({"b_min": -3.0, "b_max": 2.0, "n_grid": 37, "delta_gap": 0.7,
-      "gamma": 1.3},
-     "dbb1015379592747806f7ce573f7e1ce8ab875c2fea9090e17db5c85e40b9ee9"),
-    ({"b_min": 1.0, "b_max": -1.0, "n_grid": 5, "delta_gap": 0.0},
-     "a7014a56277278daa97147e389e0d88674167b954ef3acd4d094a16a7d1e8d73"),
+# sha256 of stdout of each CSV output.  The levels-report digests were
+# taken from the point-by-point report, before the grid was diagonalized
+# in stacked blocks; the others from the writers that each command had
+# before all three shared one.  Both larger cases cross the 4096-record
+# block of the writer, and the phase map holds the six-way tie at the
+# origin, the singlet ties on the diagonal and degenerate-mixed rows.
+@pytest.mark.parametrize("command, payload, digest", [
+    pytest.param(
+        "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,
+                          "delta_gap": 0.7, "gamma": 1.3},
+        "dbb1015379592747806f7ce573f7e1ce8ab875c2fea9090e17db5c85e40b9ee9",
+        id="levels-report-37"),
+    pytest.param(
+        "levels-report", {"b_min": 1.0, "b_max": -1.0, "n_grid": 5,
+                          "delta_gap": 0.0},
+        "a7014a56277278daa97147e389e0d88674167b954ef3acd4d094a16a7d1e8d73",
+        id="levels-report-5"),
+    pytest.param(
+        "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
+                      "n_grid": 71},
+        "8f4fa8894f525f6f6086ae2bd36900d86d0acf246986bed6566a2be9f8e429d8",
+        id="phase-map-71"),
+    pytest.param(
+        "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,
+                               "t_end": 6.283185307179586}, "n_steps": 5000},
+        "ca964970a7d482ea98433a94166f03cc5c7c449b91936881a62d6607467f73e3",
+        id="simulate-5000"),
 ])
-def test_levels_report_bytes_are_pinned(tmp_path, payload, digest):
-    code, out, _ = run("levels-report", write_cfg(tmp_path, payload))
+def test_csv_bytes_are_pinned(tmp_path, command, payload, digest):
+    code, out, _ = run(command, write_cfg(tmp_path, payload))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
