@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
-from .operators import VectorOperator, checked_eigh, cross_component, spin_matrices
+from .operators import (VectorOperator, checked_eigh, cross_component, read_only,
+                        spin_matrices)
 from .table import csv_text
 
 DETAILED_BALANCE_RTOL = 1e-12
@@ -381,10 +382,7 @@ def _spin1_pair_terms():
     eye = np.eye(3)
     left = VectorOperator(*(np.kron(op, eye) for op in single))
     right = VectorOperator(*(np.kron(eye, op) for op in single))
-    terms = (left.z + right.z, cross_component(left, right, 1))
-    for term in terms:
-        term.setflags(write=False)
-    return terms
+    return read_only(left.z + right.z, cross_component(left, right, 1))
 
 
 def coupled_spin1_hamiltonian(B, delta_gap: float,

@@ -16,12 +16,13 @@ conventions of :mod:`spincluster.symmetry`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .operators import SpinRegister, fix_phase, superposition, total_spin
+from .operators import SpinRegister, fix_phase, read_only, superposition, total_spin
 
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
@@ -53,7 +54,7 @@ _SEEDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinMultiplet:
     """One total-spin multiplet: branch ``k`` of spin ``S`` with members by m."""
 
@@ -89,11 +90,14 @@ def _ladder_up(register: SpinRegister, seed: np.ndarray, S: float) -> dict:
         vec = raising @ vec / amp
         m += 1.0
         members[m] = vec
+    read_only(*members.values())
     return members
 
 
-def multiplet_table(register: SpinRegister) -> list:
-    """All total-spin multiplets of the register, ladder-consistent in m."""
+@functools.cache
+def multiplet_table(register: SpinRegister) -> tuple:
+    """All total-spin multiplets of the register, ladder-consistent in m,
+    built once and shared read-only."""
     if register.n_sites not in _SEEDS:
         raise ConfigError(f"no multiplet table for n_sites={register.n_sites}")
     table = []
@@ -103,7 +107,7 @@ def multiplet_table(register: SpinRegister) -> list:
         branch_count[S] = k + 1
         seed = superposition(register, terms)
         table.append(SpinMultiplet(S, k, _ladder_up(register, seed, S)))
-    return table
+    return tuple(table)
 
 
 def branches(register: SpinRegister, S: float) -> list:

@@ -10,10 +10,14 @@ Conventions used throughout the package:
 * hbar = 1.  All operators are dense complex ``numpy`` arrays.
 * Eigenvector phase: the first component of largest magnitude is made real
   and positive.
+* Site spins (and the multiplet tables of :mod:`spincluster.multiplets`)
+  are built once per register size and shared read-only: copy before
+  writing.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -70,8 +74,11 @@ def spin_matrices(s: float = 0.5) -> VectorOperator:
     return VectorOperator(sx, sy, sz)
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+def read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, marked read-only so that shared values cannot change."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def embed(register: SpinRegister, site: int, op: np.ndarray) -> np.ndarray:
@@ -80,14 +87,16 @@ def embed(register: SpinRegister, site: int, op: np.ndarray) -> np.ndarray:
         raise ConfigError(f"site {site} out of range for {register.n_sites} sites")
     out = np.ones((1, 1), dtype=complex)
     for k in range(register.n_sites):
-        out = np.kron(out, op if k == site else identity(2))
+        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
     return out
 
 
+@functools.cache
 def site_spin(register: SpinRegister, site: int) -> VectorOperator:
-    """Spin vector (Sx, Sy, Sz) of one site embedded in the register."""
+    """Spin vector (Sx, Sy, Sz) of one site embedded in the register,
+    built once and shared read-only."""
     single = spin_matrices(0.5)
-    return VectorOperator(*(embed(register, site, c) for c in single))
+    return VectorOperator(*read_only(*(embed(register, site, c) for c in single)))
 
 
 def total_spin(register: SpinRegister) -> VectorOperator:
@@ -103,11 +112,6 @@ def casimir(register: SpinRegister) -> np.ndarray:
     """Total-spin Casimir S.S of the register."""
     s = total_spin(register)
     return s.dot(s)
-
-
-def spin_dot(a: VectorOperator, b: VectorOperator) -> np.ndarray:
-    """Scalar product a.b of two vector operators."""
-    return a.dot(b)
 
 
 def cross_component(a: VectorOperator, b: VectorOperator, axis: int) -> np.ndarray:
@@ -211,7 +215,8 @@ def hermitian_eig(matrix: np.ndarray, gtol: float = DEGENERACY_GTOL) -> Spectrum
     The Hermiticity gate is that of :func:`checked_eigh`.
     """
     vals, vecs = checked_eigh(matrix)
-    vecs = np.column_stack([fix_phase(vecs[:, i]) for i in range(vecs.shape[1])])
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
+    vecs = vecs * (pivots.conj() / np.abs(pivots))  # fix_phase of each column
     groups, start = [], 0
     for i in range(1, len(vals) + 1):
         if i == len(vals) or vals[i] - vals[i - 1] > gtol:

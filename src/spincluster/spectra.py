@@ -195,8 +195,7 @@ class PhaseMap:
 
 def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> PhaseMap:
     """The PhaseMap of the (a12, a13) pairs of two float arrays."""
-    with np.errstate(over="ignore", invalid="ignore"):  # tied_ground raises
-        energies = np.array([row.energy(a12, a13) for row in PARALLELOGRAM_LEVELS])
+    energies = np.array([row.energy(a12, a13) for row in PARALLELOGRAM_LEVELS])
     winners, ground = tied_ground(energies, tie_tol)
     # each distinct winner pattern is summarized once
     patterns, which = np.unique(winners, axis=1, return_inverse=True)

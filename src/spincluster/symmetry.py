@@ -28,7 +28,6 @@ from .operators import (
     SpinRegister,
     commutator,
     site_spin,
-    spin_dot,
 )
 from .yangian import build_q
 
@@ -98,7 +97,7 @@ def heisenberg_hamiltonian(register: SpinRegister, couplings) -> np.ndarray:
     h = np.zeros((register.dim, register.dim), dtype=complex)
     for (i, j), value in couplings.a.items():
         if value != 0.0:
-            h = h + value * spin_dot(spins[i - 1], spins[j - 1])
+            h = h + value * spins[i - 1].dot(spins[j - 1])
     return h
 
 
@@ -118,7 +117,7 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray,
     spins = [site_spin(register, k) for k in range(register.n_sites)]
     columns = []
     for i, j in pairs:
-        h_ij = spin_dot(spins[i - 1], spins[j - 1])
+        h_ij = spins[i - 1].dot(spins[j - 1])
         columns.append(commutator(q_matrix, h_ij).ravel())
     m = np.column_stack(columns)
     _, sv, vh = np.linalg.svd(m, full_matrices=True)

@@ -36,7 +36,6 @@ from .operators import (
     hermitian_eig,
     scalar_triple,
     site_spin,
-    spin_dot,
     total_spin,
 )
 
@@ -61,12 +60,13 @@ def build_yangian(register: SpinRegister, weights) -> VectorOperator:
     """Vector charge Y = sum_k u_k S_k + i sum_{i<j} S_i x S_j."""
     u = _check_weights(register.n_sites, weights)
     spins = [site_spin(register, k) for k in range(register.n_sites)]
+    crosses = [cross(spins[i], spins[j]) for i in range(register.n_sites)
+               for j in range(i + 1, register.n_sites)]
     comps = []
     for axis in range(3):
         term = sum(u[k] * spins[k][axis] for k in range(register.n_sites))
-        for i in range(register.n_sites):
-            for j in range(i + 1, register.n_sites):
-                term = term + 1j * cross(spins[i], spins[j])[axis]
+        for pair in crosses:
+            term = term + 1j * pair[axis]
         comps.append(term)
     return VectorOperator(*comps)
 
@@ -127,8 +127,8 @@ def expanded_q(register: SpinRegister, weights) -> np.ndarray:
 
 def _expanded_q3(register: SpinRegister, u: np.ndarray) -> np.ndarray:
     s = [site_spin(register, k) for k in range(3)]
-    s2 = [spin_dot(s[k], s[k]) for k in range(3)]
-    d12, d23, d13 = spin_dot(s[0], s[1]), spin_dot(s[1], s[2]), spin_dot(s[0], s[2])
+    s2 = [s[k].dot(s[k]) for k in range(3)]
+    d12, d23, d13 = s[0].dot(s[1]), s[1].dot(s[2]), s[0].dot(s[2])
     dsum = d12 + d23 + d13
     out = sum(u[k] ** 2 * s2[k] for k in range(3))
     out = out + 2 * (u[0] * u[1] * d12 + u[1] * u[2] * d23 + u[0] * u[2] * d13)
@@ -143,11 +143,11 @@ def _expanded_q3(register: SpinRegister, u: np.ndarray) -> np.ndarray:
 
 def _expanded_q4(register: SpinRegister, u: np.ndarray) -> np.ndarray:
     s = [site_spin(register, k) for k in range(4)]
-    s2 = [spin_dot(s[k], s[k]) for k in range(4)]
+    s2 = [s[k].dot(s[k]) for k in range(4)]
     d = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            d[i, j] = spin_dot(s[i], s[j])
+            d[i, j] = s[i].dot(s[j])
     dsum = sum(d.values())
     out = sum(u[k] ** 2 * s2[k] for k in range(4))
     out = out + 2 * sum(u[i] * u[j] * d[i, j] for (i, j) in d)
@@ -353,21 +353,15 @@ def q_joint_labels(register: SpinRegister, weights) -> list:
     out = []
     for S in spin_values:
         sector_branches = branches(register, S)
-        n_branch = len(sector_branches)
         m_values = [-S + k for k in range(int(round(2 * S)) + 1)]
         for m in m_values:
             cols = np.column_stack([br.member(m) for br in sector_branches])
-            block = cols.conj().T @ q @ cols
-            if n_branch == 1:
-                evals, evecs, groups = np.array([block[0, 0].real]), np.eye(1), [[0]]
-            else:
-                spec = hermitian_eig(block)
-                evals, evecs, groups = spec.eigenvalues, spec.eigenvectors, spec.groups
-            shared = {idx: len(group) > 1 for group in groups for idx in group}
-            for idx in range(n_branch):
-                vec = fix_phase(cols @ evecs[:, idx])
+            spec = hermitian_eig(cols.conj().T @ q @ cols)
+            shared = {idx: len(group) > 1 for group in spec.groups for idx in group}
+            for idx in range(len(sector_branches)):
+                vec = fix_phase(cols @ spec.eigenvectors[:, idx])
                 out.append(LabeledState(
-                    S=S, m=m, q=float(evals[idx]), vector=vec,
+                    S=S, m=m, q=float(spec.eigenvalues[idx]), vector=vec,
                     degenerate=shared[idx],
                 ))
     return out

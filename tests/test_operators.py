@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from spincluster.errors import ConfigError, NumericalCheckError
+from spincluster.multiplets import multiplet_table
 from spincluster.operators import (
     SpinRegister,
     basis_index,
@@ -159,3 +160,58 @@ def test_embed_commutes_for_distinct_sites(n_sites, entropy):
     ops = [embed(register, k, spin_matrices().z) for k in range(n_sites)]
     i, j = rng.choice(n_sites, size=2, replace=False)
     assert np.max(np.abs(commutator(ops[i], ops[j]))) < SU2_ATOL
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_register_operators_are_built_once_and_shared(n_sites):
+    first, second = SpinRegister(n_sites), SpinRegister(n_sites)
+    assert first is not second
+    for k in range(n_sites):
+        assert site_spin(first, k) is site_spin(second, k)
+    assert multiplet_table(first) is multiplet_table(second)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_shared_operators_are_read_only(n_sites):
+    register = SpinRegister(n_sites)
+    for k in range(n_sites):
+        for component in site_spin(register, k):
+            with pytest.raises(ValueError):
+                component[0, 0] = 1.0
+    for mult in multiplet_table(register):
+        for vector in mult.vectors.values():
+            with pytest.raises(ValueError):
+                vector[0] = 1.0
+    with pytest.raises(ValueError):
+        site_spin(register, 0).z += 1.0
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_site_spin_is_the_kronecker_product(n_sites):
+    pauli_half = spin_matrices(0.5)
+    for k in range(n_sites):
+        for axis in range(3):
+            factors = [np.eye(2)] * n_sites
+            factors[k] = pauli_half[axis]
+            want = factors[0]
+            for factor in factors[1:]:
+                want = np.kron(want, factor)
+            assert np.array_equal(site_spin(SpinRegister(n_sites), k)[axis], want)
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.booleans(),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_hermitian_eig_phases_every_column_like_fix_phase(n, degenerate, entropy):
+    rng = np.random.default_rng(entropy)
+    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if degenerate:  # integer levels with repeats, in a random basis
+        unitary, _ = np.linalg.qr(raw)
+        levels = rng.integers(-1, 2, size=n).astype(float)
+        mat = unitary @ np.diag(levels) @ unitary.conj().T
+    else:
+        mat = raw + raw.conj().T
+    _, vecs = checked_eigh(mat)
+    want = np.column_stack([fix_phase(vecs[:, i]) for i in range(n)])
+    assert hermitian_eig(mat).eigenvectors.tobytes() == want.tobytes()
