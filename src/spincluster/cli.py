@@ -223,24 +223,15 @@ def _cmd_moments(cfg) -> str:
         raise ConfigError(f"unknown level label {label!r}")
     level = levelset.by_label()[label]
     m = cfg.get("m", -level.S)
-    if abs(m) > level.S or (2.0 * m) != round(2.0 * m):
-        raise ConfigError(f"m = {m} is not a valid projection for S = {level.S}")
-    spin, q_target, occurrence = spectra.invariant_key(family, label)
-    matches = [st for st in multiplets.invariant_eigenstates(register)
-               if st.S == spin and st.m == m and abs(st.q - q_target) < 1e-9]
-    if occurrence >= len(matches):
-        raise ConfigError(
-            f"no invariant state with S = {spin}, m = {m} for {label!r}")
-    state = matches[occurrence]
+    state = multiplets.level_state(register, label, m)
     hamiltonian = (spectra.triangle_hamiltonian if family == "triangle"
                    else spectra.parallelogram_hamiltonian)
     ham = hamiltonian(register, *params.values())
-    residual = float(np.linalg.norm(ham @ state.vector - level.energy * state.vector))
+    residual = float(np.linalg.norm(ham @ state - level.energy * state))
     if not residual <= 1e-9 * max(1.0, abs(level.energy)):  # NaN fails too
         raise NumericalCheckError(
             f"state for {label!r} fails its eigen-equation: residual {residual:.3e}")
-    moments = observables.local_moments(register, state.vector,
-                                        **_given(cfg, "g"))
+    moments = observables.local_moments(register, state, **_given(cfg, "g"))
     return _json({
         "sites": sites,
         "params": params,

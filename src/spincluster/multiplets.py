@@ -1,4 +1,4 @@
-"""Closed-form total-spin multiplet bases for 3- and 4-site registers.
+"""Total-spin multiplet bases, and the one table of closed-form levels.
 
 Each multiplet is generated by laddering S_+ up from a seed state at
 m = -S, so Condon-Shortley phases are consistent across m by construction.
@@ -6,11 +6,12 @@ Repeated irreps at the same S are distinguished by a branch index ``k``
 whose seed order is fixed here and relied on by the operator-action
 formulas in :mod:`spincluster.yangian`.
 
-The module also provides the joint eigenbasis of {S^2, S_z, Q} at zero
-site weights, where Q is the conserved quadratic invariant built in
-:mod:`spincluster.yangian`.  For four sites the invariant eigenvalue -1/2
-is shared by two S = 1 branches; the pair returned by :func:`mixing_pair`
-spans that degenerate block in the order assumed by the mixing-angle
+:data:`LEVELS` is the only definition of a closed-form level of the 3- and
+4-site coupling families; :func:`invariant_eigenstates`,
+:func:`level_state`, :func:`mixing_pair` and :mod:`spincluster.spectra`
+read it.  q is the level's eigenvalue of the conserved invariant Q at zero
+site weights.  For four sites q = -1/2 is shared by two S = 1 rows, which
+:func:`mixing_pair` returns in the order assumed by the mixing-angle
 conventions of :mod:`spincluster.symmetry`.
 """
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +57,40 @@ _SEEDS = {
 }
 
 
+class LevelRow(NamedTuple):
+    """One closed-form level of a register's two-coupling family."""
+
+    label: str
+    S: float
+    q: float  # Q eigenvalue at zero site weights
+    energy: tuple  # Fractions (cx, cy): the energy is cx*x + cy*y
+    state: tuple  # coefficients over the spin-S branches, in seed order
+
+
+_F = Fraction
+# The one definition of the closed-form levels.  The couplings (x, y) are
+# (J12, J13) of the isosceles triangle and (a12, a13) of the parallelogram
+# (equal opposite edges).  Rows that share (S, q) are degenerate in Q.
+LEVELS = {
+    3: (
+        LevelRow("alpha", 0.5, -0.25, (_F(-1), _F(1, 4)), (-0.5, _SQ3 / 2)),
+        LevelRow("beta", 0.5, -2.25, (_F(0), _F(-3, 4)), (_SQ3 / 2, 0.5)),
+        LevelRow("quartet", 1.5, -1.0, (_F(1, 2), _F(1, 4)), (1.0,)),
+    ),
+    4: (
+        LevelRow("quintet", 2.0, -2.5, (_F(1), _F(1, 2)), (1.0,)),
+        LevelRow("triplet1", 1.0, -0.5, (_F(0), _F(-1, 2)),
+                 (0.0, 1 / _SQ2, -1 / _SQ2)),
+        LevelRow("triplet2", 1.0, -5.5, (_F(1, 3), _F(-5, 6)),
+                 (2 * _SQ2 / _SQ10, 1 / _SQ10, 1 / _SQ10)),
+        LevelRow("triplet3", 1.0, -0.5, (_F(-4, 3), _F(5, 6)),
+                 (-1 / _SQ5, 2 / _SQ10, 2 / _SQ10)),
+        LevelRow("singlet_plus", 0.0, -1.0, (_F(-2), _F(1, 2)), (0.5, -_SQ3 / 2)),
+        LevelRow("singlet_minus", 0.0, -3.0, (_F(0), _F(-3, 2)), (_SQ3 / 2, 0.5)),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class SpinMultiplet:
     """One total-spin multiplet: branch ``k`` of spin ``S`` with members by m."""
@@ -63,10 +100,9 @@ class SpinMultiplet:
     vectors: dict  # m -> state vector
 
     def member(self, m: float) -> np.ndarray:
-        key = round(2 * m) / 2
-        if key not in self.vectors:
-            raise ConfigError(f"no m={m} member in S={self.S} multiplet")
-        return self.vectors[key]
+        if m not in self.vectors:
+            raise ConfigError(f"m = {m} is not a valid projection for S = {self.S}")
+        return self.vectors[m]
 
 
 @dataclass
@@ -114,67 +150,53 @@ def branches(register: SpinRegister, S: float) -> list:
     return [mp for mp in multiplet_table(register) if mp.S == S]
 
 
+def projections(S: float) -> list:
+    """The m values of a spin-S multiplet, ascending."""
+    return [-S + k for k in range(int(round(2 * S)) + 1)]
+
+
+def _levels(register: SpinRegister) -> tuple:
+    if register.n_sites not in LEVELS:
+        raise ConfigError(f"no closed-form invariant basis for n={register.n_sites}")
+    return LEVELS[register.n_sites]
+
+
+def _combination(register: SpinRegister, row: LevelRow, m: float) -> np.ndarray:
+    """The row's state at m, before its phase is fixed."""
+    terms = [c * br.member(m) for c, br in zip(row.state, branches(register, row.S))]
+    return sum(terms[1:], terms[0])
+
+
+def level_state(register: SpinRegister, label: str, m: float) -> np.ndarray:
+    """The m member of the named closed-form level, phase-fixed."""
+    rows = {row.label: row for row in _levels(register)}
+    if label not in rows:
+        raise ConfigError(f"unknown level label {label!r}")
+    return fix_phase(_combination(register, rows[label], m))
+
+
 def invariant_eigenstates(register: SpinRegister) -> list:
     """Joint {S^2, S_z, Q} eigenbasis at zero site weights, in closed form.
 
-    Returns LabeledState records covering the full register space.  The
-    4-site q = -1/2 level is doubly degenerate per m and is flagged.
+    Returns LabeledState records covering the full register space: S in
+    seed order, then m, then the order of :data:`LEVELS`.  A state whose
+    (S, q) is shared by another row is flagged degenerate.
     """
-    if register.n_sites == 3:
-        return _invariant_states_3(register)
-    if register.n_sites == 4:
-        return _invariant_states_4(register)
-    raise ConfigError(f"no closed-form invariant basis for n={register.n_sites}")
-
-
-def _invariant_states_3(register: SpinRegister) -> list:
-    quartet = branches(register, 1.5)[0]
-    d0, d1 = branches(register, 0.5)
-    states = [LabeledState(1.5, m, -1.0, fix_phase(quartet.member(m)))
-              for m in (-1.5, -0.5, 0.5, 1.5)]
-    for m in (-0.5, 0.5):
-        alpha = -0.5 * d0.member(m) + (_SQ3 / 2) * d1.member(m)
-        beta = (_SQ3 / 2) * d0.member(m) + 0.5 * d1.member(m)
-        states.append(LabeledState(0.5, m, -0.25, fix_phase(alpha)))
-        states.append(LabeledState(0.5, m, -2.25, fix_phase(beta)))
+    rows = _levels(register)
+    keys = [(row.S, row.q) for row in rows]
+    states = []
+    for S in dict.fromkeys(S for S, _ in _SEEDS[register.n_sites]):
+        for m in projections(S):
+            states.extend(
+                LabeledState(S, m, row.q, fix_phase(_combination(register, row, m)),
+                             degenerate=keys.count((row.S, row.q)) > 1)
+                for row in rows if row.S == S)
     return states
-
-
-def _triplet_combo(register: SpinRegister, m: float, coeffs) -> np.ndarray:
-    t0, t1, t2 = branches(register, 1.0)
-    return (coeffs[0] * t0.member(m) + coeffs[1] * t1.member(m)
-            + coeffs[2] * t2.member(m))
-
-
-# Combination coefficients over the three S=1 branches (seed order) for the
-# three invariant eigenvalues of the 4-site register.
-_TRIPLET_SHARED_A = (0.0, 1 / _SQ2, -1 / _SQ2)            # q = -1/2
-_TRIPLET_DEEP = (2 * _SQ2 / _SQ10, 1 / _SQ10, 1 / _SQ10)  # q = -11/2
-_TRIPLET_SHARED_B = (-1 / _SQ5, 2 / _SQ10, 2 / _SQ10)     # q = -1/2
 
 
 def mixing_pair(register: SpinRegister, m: float) -> tuple:
     """The ordered pair spanning the degenerate q = -1/2 block at given m."""
     if register.n_sites != 4:
         raise ConfigError("mixing_pair is defined for the 4-site register")
-    first = _triplet_combo(register, m, _TRIPLET_SHARED_A)
-    second = _triplet_combo(register, m, _TRIPLET_SHARED_B)
-    return first, second
-
-
-def _invariant_states_4(register: SpinRegister) -> list:
-    quintet = branches(register, 2.0)[0]
-    s0, s1 = branches(register, 0.0)
-    states = [LabeledState(2.0, m, -2.5, fix_phase(quintet.member(m)))
-              for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    for m in (-1.0, 0.0, 1.0):
-        shared_a, shared_b = mixing_pair(register, m)
-        deep = _triplet_combo(register, m, _TRIPLET_DEEP)
-        states.append(LabeledState(1.0, m, -0.5, fix_phase(shared_a), degenerate=True))
-        states.append(LabeledState(1.0, m, -5.5, fix_phase(deep)))
-        states.append(LabeledState(1.0, m, -0.5, fix_phase(shared_b), degenerate=True))
-    plus = 0.5 * s0.member(0.0) - (_SQ3 / 2) * s1.member(0.0)
-    minus = (_SQ3 / 2) * s0.member(0.0) + 0.5 * s1.member(0.0)
-    states.append(LabeledState(0.0, 0.0, -1.0, fix_phase(plus)))
-    states.append(LabeledState(0.0, 0.0, -3.0, fix_phase(minus)))
-    return states
+    return tuple(_combination(register, row, m) for row in LEVELS[4]
+                 if (row.S, row.q) == (1.0, -0.5))

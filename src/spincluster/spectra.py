@@ -2,18 +2,21 @@
 
 The isosceles three-site cluster and the two-parameter four-site
 family (equal opposite-edge couplings) both diagonalize in closed
-form.  Every level is linear in the couplings, so ground-state
-classification over coupling space reduces to comparing a handful of
-linear functions; :func:`phase_map` sweeps that comparison over a
-grid.
+form.  Every level is linear in the couplings with rational
+coefficients, read from the one level table
+:data:`spincluster.multiplets.LEVELS`; :func:`level_energy` evaluates
+them.  Ground-state classification over coupling space therefore
+reduces to comparing a handful of linear functions; :func:`phase_map`
+sweeps that comparison over a grid.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
+from .multiplets import LEVELS, LevelRow
 from .operators import SpinRegister, hermitian_eig
 from .symmetry import (
     constrained_couplings_parallelogram,
@@ -26,43 +29,20 @@ CLOSED_FORM_ATOL = 1e-10
 DEFAULT_TIE_RTOL = 1e-9
 
 
-class LevelRow(NamedTuple):
-    """A closed-form level; q is its Q eigenvalue at zero site weights."""
-
-    label: str
-    S: float
-    multiplicity: int
-    q: float
-    energy: Callable  # energy(x, y) in the family's couplings, or arrays
-
-
-# Rows sharing (S, q) are told apart by their order in the table.
-TRIANGLE_LEVELS = (
-    LevelRow("alpha", 0.5, 2, -0.25, lambda J12, J13: J13 / 4.0 - J12),
-    LevelRow("beta", 0.5, 2, -2.25, lambda J12, J13: -0.75 * J13),
-    LevelRow("quartet", 1.5, 4, -1.0, lambda J12, J13: J12 / 2.0 + J13 / 4.0),
-)
-PARALLELOGRAM_LEVELS = (
-    LevelRow("quintet", 2.0, 5, -2.5, lambda a12, a13: a12 + 0.5 * a13),
-    LevelRow("triplet1", 1.0, 3, -0.5, lambda a12, a13: -0.5 * a13),
-    LevelRow("triplet2", 1.0, 3, -5.5,
-             lambda a12, a13: a12 / 3.0 - 5.0 * a13 / 6.0),
-    LevelRow("triplet3", 1.0, 3, -0.5,
-             lambda a12, a13: -4.0 * a12 / 3.0 + 5.0 * a13 / 6.0),
-    LevelRow("singlet_plus", 0.0, 1, -1.0,
-             lambda a12, a13: -2.0 * a12 + 0.5 * a13),
-    LevelRow("singlet_minus", 0.0, 1, -3.0, lambda a12, a13: -1.5 * a13),
-)
-LEVEL_TABLES = {"triangle": TRIANGLE_LEVELS,
-                "parallelogram": PARALLELOGRAM_LEVELS}
+def _term(c, x):
+    """c*x for a Fraction c, rounded as the formula is written by hand: a
+    power-of-two denominator makes float(c) exact, otherwise the numerator
+    multiplies before the denominator divides."""
+    if c.denominator & (c.denominator - 1) == 0:
+        return float(c) * x
+    return c.numerator * x / c.denominator
 
 
-def invariant_key(family: str, label: str) -> tuple:
-    """(S, q, occurrence) of a level's invariant eigenstates, where
-    occurrence counts the earlier rows of the table with the same (S, q)."""
-    keys = [(row.S, row.q) for row in LEVEL_TABLES[family]]
-    k = [row.label for row in LEVEL_TABLES[family]].index(label)
-    return (*keys[k], keys[:k].count(keys[k]))
+def level_energy(row: LevelRow, x, y):
+    """A level's energy at couplings (x, y), floats or arrays; zero
+    coefficients contribute no term."""
+    terms = [_term(c, v) for c, v in zip(row.energy, (x, y)) if c]
+    return sum(terms[1:], terms[0])
 
 
 def tied_ground(energies, tie_tol: float = None):
@@ -115,19 +95,19 @@ class LevelSet:
         return [lev.label for lev, won in zip(self.levels, winners) if won]
 
 
-def _levelset(table, x: float, y: float) -> LevelSet:
-    return LevelSet(tuple(Level(row.label, row.S, row.energy(x, y),
-                                row.multiplicity) for row in table))
+def _levelset(rows, x: float, y: float) -> LevelSet:
+    return LevelSet(tuple(Level(row.label, row.S, level_energy(row, x, y),
+                                int(2 * row.S + 1)) for row in rows))
 
 
 def triangle_levels(J12: float, J13: float) -> LevelSet:
     """Three levels of the isosceles three-site cluster."""
-    return _levelset(TRIANGLE_LEVELS, J12, J13)
+    return _levelset(LEVELS[3], J12, J13)
 
 
 def parallelogram_levels(a12: float, a13: float) -> LevelSet:
     """Six levels of the equal-opposite-edge four-site family."""
-    return _levelset(PARALLELOGRAM_LEVELS, a12, a13)
+    return _levelset(LEVELS[4], a12, a13)
 
 
 def triangle_hamiltonian(register: SpinRegister, J12: float, J13: float):
@@ -195,13 +175,13 @@ class PhaseMap:
 
 def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> PhaseMap:
     """The PhaseMap of the (a12, a13) pairs of two float arrays."""
-    energies = np.array([row.energy(a12, a13) for row in PARALLELOGRAM_LEVELS])
+    energies = np.array([level_energy(row, a12, a13) for row in LEVELS[4]])
     winners, ground = tied_ground(energies, tie_tol)
     # each distinct winner pattern is summarized once
     patterns, which = np.unique(winners, axis=1, return_inverse=True)
     summaries = []
     for pattern in patterns.T:
-        rows = [row for row, won in zip(PARALLELOGRAM_LEVELS, pattern) if won]
+        rows = [row for row, won in zip(LEVELS[4], pattern) if won]
         spins = {row.S for row in rows}
         summaries.append((tuple(row.label for row in rows),
                           rows[0].S if len(spins) == 1 else "degenerate-mixed"))
@@ -256,7 +236,7 @@ def ordering_report(a12: float, a13: float) -> dict:
             "rhs": table[hi].energy,
             "holds": bool(table[lo].energy < table[hi].energy),
         })
-    actual = sorted(levelset.levels, key=lambda lev: lev.energy)
+    actual = sorted(levelset.levels, key=attrgetter("energy"))
     return {
         "a12": a12,
         "a13": a13,

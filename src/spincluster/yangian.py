@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
-from .multiplets import _SEEDS, LabeledState, branches
+from .multiplets import _SEEDS, LabeledState, branches, projections
 from .operators import (
     SpinRegister,
     VectorOperator,
@@ -353,8 +353,7 @@ def q_joint_labels(register: SpinRegister, weights) -> list:
     out = []
     for S in spin_values:
         sector_branches = branches(register, S)
-        m_values = [-S + k for k in range(int(round(2 * S)) + 1)]
-        for m in m_values:
+        for m in projections(S):
             cols = np.column_stack([br.member(m) for br in sector_branches])
             spec = hermitian_eig(cols.conj().T @ q @ cols)
             shared = {idx: len(group) > 1 for group in spec.groups for idx in group}

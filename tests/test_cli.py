@@ -192,10 +192,12 @@ def test_moments_degenerate_ground_needs_label(tmp_path):
 
 
 def test_moments_rejects_invalid_projection(tmp_path):
-    path = write_cfg(tmp_path, {"sites": 4, "a12": 1.0, "a13": -3.0, "m": -2.0})
-    code, _, err = run("moments", path)
-    assert code == 2
-    assert "projection" in err
+    # triplet3 has S = 1: out of range, off the half-integers, wrong parity
+    for m in (-2.0, 0.25, 0.5):
+        path = write_cfg(tmp_path, {"sites": 4, "a12": 1.0, "a13": -3.0, "m": m})
+        code, _, err = run("moments", path)
+        assert code == 2
+        assert err == f"config error: m = {m} is not a valid projection for S = 1.0\n"
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -88,6 +88,13 @@ def test_mixing_pair_spans_degenerate_invariant_block(m):
         assert np.linalg.norm(q_op @ vec + 0.5 * vec) < 1e-10
 
 
+@pytest.mark.parametrize("m", [0.25, 0.5, -2.0, float("nan")])
+def test_member_looks_m_up_exactly(m):
+    triplet = branches(SpinRegister(4), 1.0)[0]
+    with pytest.raises(ConfigError, match="not a valid projection for S = 1.0"):
+        triplet.member(m)
+
+
 def test_no_closed_form_for_two_sites():
     with pytest.raises(ConfigError):
         invariant_eigenstates(SpinRegister(2))

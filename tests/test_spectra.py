@@ -1,14 +1,20 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from spincluster.errors import ConfigError
+from spincluster.multiplets import LEVELS, level_state, projections
 from spincluster.operators import SpinRegister
 from spincluster.spectra import (
+    CLAIMED_ORDER_CHAIN,
     CLOSED_FORM_ATOL,
     classify_ground,
     closed_form_defect,
+    level_energy,
     ordering_report,
     parallelogram_hamiltonian,
     parallelogram_levels,
@@ -21,6 +27,14 @@ COUPLING = st.floats(min_value=-6.0, max_value=6.0,
                      allow_nan=False, allow_infinity=False)
 R3 = SpinRegister(3)
 R4 = SpinRegister(4)
+FAMILIES = [(R3, triangle_hamiltonian), (R4, parallelogram_hamiltonian)]
+
+
+def _gap(lo, hi):
+    """Exact coefficients of E_lo - E_hi over (a12, a13): lo < hi exactly
+    where this pair has a negative dot product with the couplings."""
+    coeffs = {row.label: row.energy for row in LEVELS[4]}
+    return tuple(a - b for a, b in zip(coeffs[lo], coeffs[hi]))
 
 
 def test_triangle_example_levels():
@@ -85,13 +99,68 @@ def test_classify_ground_other_phases():
     assert tie.ground_S == 0.0  # same spin on both sides of the tie
 
 
+@pytest.mark.parametrize("register, hamiltonian", FAMILIES,
+                         ids=["triangle", "parallelogram"])
+def test_joint_eigenvalues_certify_the_table_on_the_whole_plane(register,
+                                                                 hamiltonian):
+    # H(x, y) = x H(1, 0) + y H(0, 1), and the two commute, so their joint
+    # eigenvalue pairs are every level's coefficients for all couplings
+    hx, hy = hamiltonian(register, 1.0, 0.0), hamiltonian(register, 0.0, 1.0)
+    assert np.max(np.abs(hamiltonian(register, 2.0, -3.0) - (2 * hx - 3 * hy))) < 1e-14
+    assert np.max(np.abs(hx @ hy - hy @ hx)) < 1e-14
+    # no two distinct rational pairs tie along an irrational direction
+    _, vectors = np.linalg.eigh(hx + np.sqrt(2.0) * hy)
+    pairs = Counter()
+    for vec in vectors.T:
+        coeffs = []
+        for ham in (hx, hy):
+            value = float(np.vdot(vec, ham @ vec).real)
+            assert np.linalg.norm(ham @ vec - value * vec) < 1e-12
+            exact = Fraction(value).limit_denominator(12)
+            assert abs(value - exact) < 1e-12
+            coeffs.append(exact)
+        pairs[tuple(coeffs)] += 1
+    assert pairs == {row.energy: int(2 * row.S + 1)
+                     for row in LEVELS[register.n_sites]}
+
+
+@seed(304)
+@settings(max_examples=30, deadline=None)
+@given(COUPLING, COUPLING)
+def test_every_row_state_carries_its_row_energy(x, y):
+    scale = max(1.0, abs(x), abs(y))
+    for register, hamiltonian in FAMILIES:
+        ham = hamiltonian(register, x, y)
+        for row in LEVELS[register.n_sites]:
+            energy = level_energy(row, x, y)
+            for m in projections(row.S):
+                state = level_state(register, row.label, m)
+                residual = np.linalg.norm(ham @ state - energy * state)
+                assert residual < CLOSED_FORM_ATOL * scale
+
+
+def test_triplet_cone_is_exact():
+    # triplet3 < singlet_plus exactly where a13 < -2*a12, and
+    # triplet3 < quintet exactly where a13 < 7*a12 ...
+    assert _gap("triplet3", "singlet_plus") == (Fraction(2, 3), Fraction(1, 3))
+    assert _gap("triplet3", "quintet") == (Fraction(-7, 3), Fraction(1, 3))
+    # ... and every other gap is a nonnegative combination of those two, so
+    # triplet3 is the unique ground level exactly on that cone
+    (p1, p2), (q1, q2) = _gap("triplet3", "singlet_plus"), _gap("triplet3", "quintet")
+    det = p1 * q2 - p2 * q1
+    for other in ("triplet1", "triplet2", "singlet_minus"):
+        g1, g2 = _gap("triplet3", other)
+        assert (g1 * q2 - g2 * q1) / det >= 0
+        assert (p1 * g2 - p2 * g1) / det >= 0
+
+
 @seed(303)
 @settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=0.05, max_value=1.0),
+@given(st.floats(min_value=-1.0, max_value=1.0),
        st.floats(min_value=0.05, max_value=8.0))
 def test_triplet_region_has_unique_triplet_ground(a12, depth):
-    # the wedge a13 < -2*a12 keeps triplet3 strictly lowest
-    a13 = -2.0 * a12 - depth
+    # the cone a13 < min(-2*a12, 7*a12) keeps triplet3 strictly lowest
+    a13 = min(-2.0 * a12, 7.0 * a12) - depth
     point = classify_ground(a12, a13)
     assert point.ground_labels == ("triplet3",)
     assert point.ground_S == 1.0
@@ -131,6 +200,13 @@ def test_ordering_claim_is_reported_not_asserted():
     failing = [link["claim"] for link in report["links"] if not link["holds"]]
     # the last two claimed inequalities are the inconsistent ones
     assert "quintet < singlet_minus" in failing or "singlet_minus < triplet1" in failing
+    # link k holds where its gap L_k is negative on (a12, a13); as
+    # 3 L1 + 2/3 L2 + L4 = 0, no coupling pair meets links 1, 2 and 4 at once
+    links = [_gap(lo, hi)
+             for lo, hi in zip(CLAIMED_ORDER_CHAIN[:-1], CLAIMED_ORDER_CHAIN[1:])]
+    weights = (Fraction(3), Fraction(2, 3), 0, 1, 0)
+    assert tuple(sum(w * link[i] for w, link in zip(weights, links))
+                 for i in (0, 1)) == (0, 0)
 
 
 def test_closed_form_defect_checks_dimensions():

@@ -175,6 +175,11 @@ def test_four_site_action_blocks_match_numeric(u):
     assert np.max(np.abs(quintet - blocks["quintet"])) < ACTION_ATOL * scale
 
 
+def test_action_block_needs_an_exact_projection():
+    with pytest.raises(ConfigError):
+        numeric_action_block(SpinRegister(4), np.zeros(4), 1.0, 0.2)
+
+
 def test_action_block_zero_weights_doublet():
     blocks = action_blocks(3, np.zeros(3))
     target = np.array([[-1.75, -np.sqrt(3) / 2], [-np.sqrt(3) / 2, -0.75]])
