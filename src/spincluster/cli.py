@@ -44,10 +44,6 @@ PRESETS = {
     }},
 }
 
-# closed-form family -> config keys of its two couplings
-_COUPLINGS = {"triangle": ("J12", "J13"), "parallelogram": ("a12", "a13")}
-_FAMILY_OF_SITES = {3: "triangle", 4: "parallelogram"}
-
 
 # Config value kinds: each reads one JSON value or raises ConfigError.
 def _number(value, name: str) -> float:
@@ -86,7 +82,8 @@ def _init(value, name: str):
 # Only the keys a config sets reach the library, whose defaults fill in
 # the rest.
 _WEIGHTED = {"sites": _integral, "weights": _numbers}
-_COUPLING_KINDS = {name: _number for names in _COUPLINGS.values() for name in names}
+_COUPLING_KINDS = {name: _number for family in spectra.FAMILIES.values()
+                   for name in family.couplings}
 _SPECS = {
     "q-spectrum": _WEIGHTED,
     "check-yangian": _WEIGHTED,
@@ -179,13 +176,16 @@ def _cmd_commutant(cfg) -> str:
 
 
 def _levelset_for(cfg, command: str, family: str):
-    if family not in _COUPLINGS:
+    """The family's couplings read from the config, and its levels there;
+    a coupling key of another family is rejected."""
+    if family not in spectra.FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
-    names = _COUPLINGS[family]
+    names = spectra.FAMILIES[family].couplings
     params = dict(zip(names, _require(cfg, command, *names)))
-    levels = (spectra.triangle_levels if family == "triangle"
-              else spectra.parallelogram_levels)
-    return params, levels(*params.values())
+    stray = sorted(set(cfg) & set(_COUPLING_KINDS) - set(names))
+    if stray:
+        raise ConfigError(f"{family} takes couplings {list(names)}, not {stray}")
+    return params, spectra.levels(family, *params.values())
 
 
 def _cmd_spectrum(cfg) -> str:
@@ -207,10 +207,12 @@ def _cmd_phase_map(cfg) -> str:
 
 def _cmd_moments(cfg) -> str:
     sites = cfg.get("sites", 4)
-    if sites not in _FAMILY_OF_SITES:
-        raise ConfigError("moments needs sites = 3 or 4")
+    family_of = {family.sites: name for name, family in spectra.FAMILIES.items()}
+    if sites not in family_of:
+        raise ConfigError(
+            f"moments needs sites = {' or '.join(map(str, sorted(family_of)))}")
     register = SpinRegister(sites)
-    family = _FAMILY_OF_SITES[sites]
+    family = family_of[sites]
     params, levelset = _levelset_for(cfg, "moments", family)
     label = cfg.get("label")
     if label is None:
@@ -224,9 +226,7 @@ def _cmd_moments(cfg) -> str:
     level = levelset.by_label()[label]
     m = cfg.get("m", -level.S)
     state = multiplets.level_state(register, label, m)
-    hamiltonian = (spectra.triangle_hamiltonian if family == "triangle"
-                   else spectra.parallelogram_hamiltonian)
-    ham = hamiltonian(register, *params.values())
+    ham = spectra.hamiltonian(family, *params.values())
     residual = float(np.linalg.norm(ham @ state - level.energy * state))
     if not residual <= 1e-9 * max(1.0, abs(level.energy)):  # NaN fails too
         raise NumericalCheckError(

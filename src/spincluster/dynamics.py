@@ -401,10 +401,11 @@ def _exact_hypot(b: np.ndarray, delta_gap: float) -> np.ndarray:
     return np.array([math.hypot(value, delta_gap) for value in b.tolist()])
 
 
-def _nine_level_closed_forms(b: np.ndarray, delta_gap: float, corrected: bool):
-    """Sorted 9-level predictions, one row per effective field in b; flag
-    True if a squared level went negative (possible for the uncorrected
-    radical)."""
+def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray,
+                             delta_gap: float, corrected: bool):
+    """Sorted 9-level predictions, one row per effective field in b, where
+    omega is _exact_hypot(b, delta_gap); flag True if a squared level went
+    negative (possible for the uncorrected radical)."""
     # **4 on numpy scalars: np.power may differ in the last bit, and a
     # float's ** raises OverflowError where a numpy scalar gives inf
     b4 = np.array([value ** 4 for value in b])
@@ -416,10 +417,9 @@ def _nine_level_closed_forms(b: np.ndarray, delta_gap: float, corrected: bool):
     imaginary = bool(np.any((eb_sq < 0.0) | (ea_sq < 0.0)))
     ea = np.sqrt(np.where(ea_sq < 0.0, 0.0, ea_sq))
     eb = np.sqrt(np.where(eb_sq < 0.0, 0.0, eb_sq))
-    inv = _exact_hypot(b, delta_gap)
     zero = np.zeros_like(b)
     levels = np.sort(np.stack(
-        [zero, zero, zero, inv, -inv, ea, -ea, eb, -eb], axis=1), axis=1)
+        [zero, zero, zero, omega, -omega, ea, -ea, eb, -eb], axis=1), axis=1)
     return levels, imaginary
 
 
@@ -445,9 +445,9 @@ class LevelComparisonReport:
             self.b_grid[:, None], self.numeric, self.printed, self.corrected))
 
 
-def _check_nine_levels(b_block, evals, omega, delta_gap):
-    """Zero count and the +-omega pair at each point of a block; raises at
-    the first failing point.  Returns (fewest zeros, worst pair gap)."""
+def _check_nine_levels(b_grid, evals, omega, delta_gap):
+    """Zero count and the +-omega pair at each point; raises at the first
+    failing point.  Returns (fewest zeros, worst pair gap)."""
     zeros = np.count_nonzero(np.abs(evals) <= LEVEL_ZERO_COUNT_ATOL, axis=1)
     targets = np.stack([omega, -omega], axis=1)
     devs = np.min(np.abs(evals[:, None, :] - targets[:, :, None]), axis=2)
@@ -456,13 +456,13 @@ def _check_nine_levels(b_block, evals, omega, delta_gap):
         i = int(np.argmax(failed))
         if zeros[i] < 3:
             raise NumericalCheckError(
-                f"only {zeros[i]} zero eigenvalues at B = {b_block[i]:.6g} "
+                f"only {zeros[i]} zero eigenvalues at B = {b_grid[i]:.6g} "
                 f"(delta_gap = {delta_gap})")
         for target, dev in zip(targets[i].tolist(), devs[i].tolist()):
             if dev > INVARIANT_LEVEL_ATOL:
                 raise NumericalCheckError(
                     f"level {target:.6g} missing from 9x9 spectrum at "
-                    f"B = {b_block[i]:.6g}: nearest is {dev:.3e} away")
+                    f"B = {b_grid[i]:.6g}: nearest is {dev:.3e} away")
     return int(zeros.min()), float(devs.max())
 
 
@@ -483,26 +483,15 @@ def coupled_levels_report(B_grid, delta_gap: float,
         raise ConfigError(
             "levels report needs finite fields, gamma*B and delta_gap")
     numeric = np.empty((b_grid.size, 9))
-    printed = np.empty_like(numeric)
-    corrected = np.empty_like(numeric)
-    any_imag = False
-    min_zeros = 9
-    worst_invariant = 0.0
     for start in range(0, b_grid.size, _FIELD_BLOCK):
         block = slice(start, start + _FIELD_BLOCK)
-        evals, _ = checked_eigh(
+        numeric[block], _ = checked_eigh(
             coupled_spin1_hamiltonian(b_grid[block], delta_gap, gamma))
-        numeric[block] = evals
-        printed[block], was_imag = _nine_level_closed_forms(
-            b_eff[block], delta_gap, False)
-        corrected[block], _ = _nine_level_closed_forms(
-            b_eff[block], delta_gap, True)
-        any_imag = any_imag or was_imag
-        zeros, worst = _check_nine_levels(
-            b_grid[block], evals, _exact_hypot(b_eff[block], delta_gap),
-            delta_gap)
-        min_zeros = min(min_zeros, zeros)
-        worst_invariant = max(worst_invariant, worst)
+    omega = _exact_hypot(b_eff, delta_gap)
+    printed, any_imag = _nine_level_closed_forms(b_eff, omega, delta_gap, False)
+    corrected, _ = _nine_level_closed_forms(b_eff, omega, delta_gap, True)
+    min_zeros, worst_invariant = _check_nine_levels(b_grid, numeric, omega,
+                                                    delta_gap)
     if not (np.isfinite(printed).all() and np.isfinite(corrected).all()):
         raise NumericalCheckError("closed-form levels overflow on this grid")
     return LevelComparisonReport(

@@ -147,7 +147,11 @@ def multiplet_table(register: SpinRegister) -> tuple:
 
 
 def branches(register: SpinRegister, S: float) -> list:
-    return [mp for mp in multiplet_table(register) if mp.S == S]
+    """The register's spin-S multiplets, in seed order."""
+    found = [mp for mp in multiplet_table(register) if mp.S == S]
+    if not found:
+        raise ConfigError(f"no S = {S} multiplet in {register.n_sites} spins-1/2")
+    return found
 
 
 def projections(S: float) -> list:

@@ -154,17 +154,16 @@ def product_state(register: SpinRegister, pattern: str) -> np.ndarray:
     return vec
 
 
-def superposition(register: SpinRegister, terms: dict, normalize: bool = True) -> np.ndarray:
-    """Linear combination of product states, ``terms`` maps pattern -> coefficient."""
+def superposition(register: SpinRegister, terms: dict) -> np.ndarray:
+    """Normalized linear combination of product states, ``terms`` maps
+    pattern -> coefficient."""
     vec = np.zeros(register.dim, dtype=complex)
     for pattern, coeff in terms.items():
         vec += coeff * product_state(register, pattern)
-    if normalize:
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ConfigError("cannot normalize the zero vector")
-        vec = vec / norm
-    return vec
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ConfigError("cannot normalize the zero vector")
+    return vec / norm
 
 
 def fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -209,8 +208,9 @@ def checked_eigh(matrix: np.ndarray):
     return np.linalg.eigh((matrix + adjoint) / 2)
 
 
-def hermitian_eig(matrix: np.ndarray, gtol: float = DEGENERACY_GTOL) -> Spectrum:
-    """Diagonalize a Hermitian matrix and group (near-)degenerate levels.
+def hermitian_eig(matrix: np.ndarray) -> Spectrum:
+    """Diagonalize a Hermitian matrix and group levels that lie within
+    DEGENERACY_GTOL of their neighbour.
 
     The Hermiticity gate is that of :func:`checked_eigh`.
     """
@@ -219,7 +219,7 @@ def hermitian_eig(matrix: np.ndarray, gtol: float = DEGENERACY_GTOL) -> Spectrum
     vecs = vecs * (pivots.conj() / np.abs(pivots))  # fix_phase of each column
     groups, start = [], 0
     for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > gtol:
+        if i == len(vals) or vals[i] - vals[i - 1] > DEGENERACY_GTOL:
             groups.append(list(range(start, i)))
             start = i
     return Spectrum(vals, vecs, groups)

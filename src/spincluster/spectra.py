@@ -2,16 +2,18 @@
 
 The isosceles three-site cluster and the two-parameter four-site
 family (equal opposite-edge couplings) both diagonalize in closed
-form.  Every level is linear in the couplings with rational
-coefficients, read from the one level table
-:data:`spincluster.multiplets.LEVELS`; :func:`level_energy` evaluates
-them.  Ground-state classification over coupling space therefore
+form.  :data:`FAMILIES` is the one definition of such a family: its
+register size, coupling names and coupling fill.  Every level is linear
+in the couplings with rational coefficients, read from the one level
+table :data:`spincluster.multiplets.LEVELS`; :func:`level_energy`
+evaluates them.  Ground-state classification over coupling space therefore
 reduces to comparing a handful of linear functions; :func:`phase_map`
 sweeps that comparison over a grid.
 """
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,18 +47,15 @@ def level_energy(row: LevelRow, x, y):
     return sum(terms[1:], terms[0])
 
 
-def tied_ground(energies, tie_tol: float = None):
-    """(winners, ground): the levels (axis 0) within tie_tol of the lowest
-    one, and its energy, at each point of the remaining axes.  The default
-    tie_tol is DEFAULT_TIE_RTOL * max(1, largest |energy| at the point)."""
+def tied_ground(energies):
+    """(winners, ground): the levels (axis 0) within the tie tolerance of
+    the lowest one, and its energy, at each point of the remaining axes.
+    The tolerance is DEFAULT_TIE_RTOL * max(1, largest |energy| at the
+    point)."""
     energies = np.asarray(energies, dtype=float)
     if not np.isfinite(energies).all():
         raise NumericalCheckError("level energies are not finite at these couplings")
-    if tie_tol is None:
-        tie_tol = DEFAULT_TIE_RTOL * np.maximum(
-            1.0, np.max(np.abs(energies), axis=0))
-    elif tie_tol <= 0:
-        raise ConfigError("tie tolerance must be positive")
+    tie_tol = DEFAULT_TIE_RTOL * np.maximum(1.0, np.max(np.abs(energies), axis=0))
     ground = np.min(energies, axis=0)
     return energies <= ground + tie_tol, ground
 
@@ -95,43 +94,44 @@ class LevelSet:
         return [lev.label for lev, won in zip(self.levels, winners) if won]
 
 
-def _levelset(rows, x: float, y: float) -> LevelSet:
+def _equal_edges(a12: float, a13: float):
+    """The four-site family member with both opposite edges equal."""
+    return constrained_couplings_parallelogram(a12, a12, a13)
+
+
+class Family(NamedTuple):
+    """A closed-form family: its register size, the config names of its
+    two couplings (x, y), and the exchange constants they fill."""
+
+    sites: int
+    couplings: tuple
+    fill: Callable
+
+
+# The one definition of a closed-form family; its levels are LEVELS[sites].
+FAMILIES = {
+    "triangle": Family(3, ("J12", "J13"), constrained_couplings_triangle),
+    "parallelogram": Family(4, ("a12", "a13"), _equal_edges),
+}
+
+
+def levels(family: str, x: float, y: float) -> LevelSet:
+    """The family's closed-form levels at couplings (x, y)."""
     return LevelSet(tuple(Level(row.label, row.S, level_energy(row, x, y),
-                                int(2 * row.S + 1)) for row in rows))
+                                int(2 * row.S + 1))
+                          for row in LEVELS[FAMILIES[family].sites]))
 
 
-def triangle_levels(J12: float, J13: float) -> LevelSet:
-    """Three levels of the isosceles three-site cluster."""
-    return _levelset(LEVELS[3], J12, J13)
+def hamiltonian(family: str, x: float, y: float) -> np.ndarray:
+    """The family's dense Hamiltonian at couplings (x, y)."""
+    sites, _, fill = FAMILIES[family]
+    return heisenberg_hamiltonian(SpinRegister(sites), fill(x, y))
 
 
-def parallelogram_levels(a12: float, a13: float) -> LevelSet:
-    """Six levels of the equal-opposite-edge four-site family."""
-    return _levelset(LEVELS[4], a12, a13)
-
-
-def triangle_hamiltonian(register: SpinRegister, J12: float, J13: float):
-    return heisenberg_hamiltonian(
-        register, constrained_couplings_triangle(J12, J13))
-
-
-def parallelogram_hamiltonian(register: SpinRegister, a12: float, a13: float):
-    """Two-parameter family member with both opposite edges equal."""
-    return heisenberg_hamiltonian(
-        register, constrained_couplings_parallelogram(a12, a12, a13))
-
-
-def closed_form_defect(register: SpinRegister, levelset: LevelSet,
-                       hamiltonian: np.ndarray) -> float:
+def closed_form_defect(family: str, x: float, y: float) -> float:
     """Max gap between sorted closed-form and numeric eigenvalues."""
-    numeric = hermitian_eig(hamiltonian).eigenvalues
-    closed = levelset.expanded()
-    if closed.shape != numeric.shape:
-        raise ConfigError(
-            f"level multiplicities sum to {closed.size}, "
-            f"Hilbert dimension is {numeric.size}"
-        )
-    return float(np.max(np.abs(closed - numeric)))
+    numeric = hermitian_eig(hamiltonian(family, x, y)).eigenvalues
+    return float(np.max(np.abs(levels(family, x, y).expanded() - numeric)))
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,10 @@ class PhaseMap:
                         (self.a12, self.a13, cells[self.pattern], self.ground_energy))
 
 
-def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> PhaseMap:
+def _classify(a12: np.ndarray, a13: np.ndarray) -> PhaseMap:
     """The PhaseMap of the (a12, a13) pairs of two float arrays."""
     energies = np.array([level_energy(row, a12, a13) for row in LEVELS[4]])
-    winners, ground = tied_ground(energies, tie_tol)
+    winners, ground = tied_ground(energies)
     # each distinct winner pattern is summarized once
     patterns, which = np.unique(winners, axis=1, return_inverse=True)
     summaries = []
@@ -188,11 +188,9 @@ def _classify(a12: np.ndarray, a13: np.ndarray, tie_tol: float = None) -> PhaseM
     return PhaseMap(a12, a13, ground, which.reshape(-1), tuple(summaries))
 
 
-def classify_ground(a12: float, a13: float,
-                    tie_tol: float = None) -> PhasePoint:
-    """All levels within tie_tol of the minimum of the four-site family."""
-    return _classify(np.array([a12], dtype=float), np.array([a13], dtype=float),
-                     tie_tol)[0]
+def classify_ground(a12: float, a13: float) -> PhasePoint:
+    """All levels tied for the minimum of the four-site family."""
+    return _classify(np.array([a12], dtype=float), np.array([a13], dtype=float))[0]
 
 
 def _axis(bounds, n_grid: int) -> np.ndarray:
@@ -226,7 +224,7 @@ CLAIMED_ORDER_CHAIN = (
 
 
 def ordering_report(a12: float, a13: float) -> dict:
-    levelset = parallelogram_levels(a12, a13)
+    levelset = levels("parallelogram", a12, a13)
     table = levelset.by_label()
     links = []
     for lo, hi in zip(CLAIMED_ORDER_CHAIN[:-1], CLAIMED_ORDER_CHAIN[1:]):

@@ -35,6 +35,7 @@ COMMUTANT_SVD_RTOL = 1e-10
 FAMILY_COMMUTATOR_ATOL = 1e-9
 RELATION_RESIDUAL_ATOL = 1e-9
 M_INDEPENDENCE_ATOL = 1e-10
+EQUAL_EDGE_RTOL = 1e-12  # |a12 - a34| below this times the scale is a12 = a34
 _SQ5 = np.sqrt(5.0)
 
 
@@ -107,9 +108,9 @@ def _as_coupling_set(n_sites: int, couplings) -> CouplingSet:
     return CouplingSet(n_sites, dict(couplings))
 
 
-def commutant_family(register: SpinRegister, q_matrix: np.ndarray,
-                     tol: float = COMMUTANT_SVD_RTOL) -> CouplingFamily:
-    """Nullspace of a |-> [Q, H(a)] over coupling space, via SVD."""
+def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFamily:
+    """Nullspace of a |-> [Q, H(a)] over coupling space, via SVD; singular
+    values below COMMUTANT_SVD_RTOL of the largest count as zero."""
     defect = float(np.max(np.abs(q_matrix - q_matrix.conj().T)))
     if not defect <= HERMITICITY_ATOL:  # NaN fails too
         raise ConfigError(f"Q must be Hermitian (defect {defect:.3e})")
@@ -125,7 +126,7 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray,
     if sv[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(sv > tol * sv[0]))
+        rank = int(np.sum(sv > COMMUTANT_SVD_RTOL * sv[0]))
     basis = []
     for row in vh[rank:]:
         vec = np.real_if_close(row, tol=1000)
@@ -222,12 +223,21 @@ def rotated_offdiagonal(couplings, theta: float) -> float:
     return 0.5 * np.sin(theta) * (m11 - m33) + np.cos(theta) * m13
 
 
-def has_real_mixing_angle(couplings) -> bool:
-    """Whether the angle relation admits a real root for this member."""
+def _relation_terms(couplings) -> tuple:
+    """(gap, g, has_root) of the angle relation gap*(3/2 - cos t) +
+    (g/2)*sin t = 0, where gap = a12 - a34 counts as 0.0 within
+    EQUAL_EDGE_RTOL of the couplings' scale; the one rule for a real root."""
     p, q, r = _free_constants(couplings)
     a_gap = p - q
+    if abs(a_gap) < EQUAL_EDGE_RTOL * max(1.0, abs(p), abs(q), abs(r)):
+        a_gap = 0.0
     g = -2.0 * p / 3.0 - 2.0 * q + 8.0 * r / 3.0
-    return g * g >= 5.0 * a_gap * a_gap or a_gap == 0.0
+    return a_gap, g, a_gap == 0.0 or g * g >= 5.0 * a_gap * a_gap
+
+
+def has_real_mixing_angle(couplings) -> bool:
+    """Whether the angle relation admits a real root for this member."""
+    return _relation_terms(couplings)[2]
 
 
 def _check_membership(register: SpinRegister, couplings) -> CouplingSet:
@@ -252,24 +262,20 @@ def extract_mixing_theta(register: SpinRegister, couplings) -> float:
     rotation leaves the smaller off-diagonal element in the degenerate
     block is returned; equal-coupling members (a12 = a34) give exactly
     zero.  Raises :class:`NumericalCheckError` when the relation has no
-    real root for the supplied member.
+    real root for the supplied member (:func:`has_real_mixing_angle`).
     """
     couplings = _check_membership(register, couplings)
     _assert_m_independence(register, couplings)
-    p, q, r = _free_constants(couplings)
-    scale = max(1.0, abs(p), abs(q), abs(r))
-    a_gap = p - q
-    if abs(a_gap) < 1e-12 * scale:
-        return 0.0
-    g = -2.0 * p / 3.0 - 2.0 * q + 8.0 * r / 3.0
-    disc = g * g - 5.0 * a_gap * a_gap
-    if disc < 0.0:
+    a_gap, g, has_root = _relation_terms(couplings)
+    if not has_root:
         floor = 1.5 * abs(a_gap) - np.sqrt(a_gap ** 2 + 0.25 * g ** 2)
         raise NumericalCheckError(
             "mixing relation has no real root for this member; "
             f"minimum attainable |residual| = {floor:.6g}"
         )
-    root = np.sqrt(disc)
+    if a_gap == 0.0:
+        return 0.0
+    root = np.sqrt(g * g - 5.0 * a_gap * a_gap)
     candidates = [2.0 * np.arctan((-g + root) / (5.0 * a_gap)),
                   2.0 * np.arctan((-g - root) / (5.0 * a_gap))]
     candidates.sort(key=lambda th: (abs(rotated_offdiagonal(couplings, th)),

@@ -117,20 +117,13 @@ def test_criterion_05_closed_form_levels():
     rng = np.random.default_rng(5)
     worst_defect = 0.0
     worst_sum = 0.0
-    for _ in range(500):
-        J12, J13 = rng.uniform(-5.0, 5.0, size=2)
-        levelset = spectra.triangle_levels(J12, J13)
-        ham = spectra.triangle_hamiltonian(R3, J12, J13)
-        worst_defect = max(worst_defect,
-                           spectra.closed_form_defect(R3, levelset, ham))
-        worst_sum = max(worst_sum, abs(levelset.weighted_sum()))
-    for _ in range(500):
-        a12, a13 = rng.uniform(-5.0, 5.0, size=2)
-        levelset = spectra.parallelogram_levels(a12, a13)
-        ham = spectra.parallelogram_hamiltonian(R4, a12, a13)
-        worst_defect = max(worst_defect,
-                           spectra.closed_form_defect(R4, levelset, ham))
-        worst_sum = max(worst_sum, abs(levelset.weighted_sum()))
+    for family in spectra.FAMILIES:
+        for _ in range(500):
+            x, y = rng.uniform(-5.0, 5.0, size=2)
+            worst_defect = max(worst_defect,
+                               spectra.closed_form_defect(family, x, y))
+            worst_sum = max(worst_sum,
+                            abs(spectra.levels(family, x, y).weighted_sum()))
     assert worst_defect < 1e-10
     assert worst_sum <= 1e-10
     print(f"[criterion 05] PASS — 1000 random couplings, worst level defect "

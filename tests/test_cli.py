@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from spincluster.cli import main
+from spincluster.spectra import FAMILIES
 
 # main runs its handler with numpy warnings off; none may leak to stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -189,6 +190,20 @@ def test_moments_degenerate_ground_needs_label(tmp_path):
     doc = json.loads(out)
     assert doc["S"] == 0.0
     assert doc["mu"] == pytest.approx([0.0] * 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("spectrum", {"family": "triangle", "J12": 1, "J13": 2, "a12": 5},
+     "triangle takes couplings ['J12', 'J13'], not ['a12']"),
+    ("moments", {"sites": 3, "J12": 1, "J13": 2, "a13": 5},
+     "triangle takes couplings ['J12', 'J13'], not ['a13']"),
+    ("moments", {"sites": 4, "a12": 1, "a13": -3, "J12": 5, "J13": 0},
+     "parallelogram takes couplings ['a12', 'a13'], not ['J12', 'J13']"),
+], ids=["spectrum", "moments-3", "moments-4"])
+def test_other_family_couplings_are_config_errors(tmp_path, command, payload,
+                                                  message):
+    code, out, err = run(command, write_cfg(tmp_path, payload))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
 def test_moments_rejects_invalid_projection(tmp_path):
@@ -399,13 +414,15 @@ def test_preset_overlaid_by_config(tmp_path):
 
 # --- the CLI contract over generated configs ---------------------------------
 
+# spectrum and moments also take the coupling keys of one closed-form
+# family, which their family or sites value names seven times in eight
 KEY_SETS = {
     "q-spectrum": ["sites", "weights"],
     "check-yangian": ["sites", "weights"],
     "commutant": ["sites", "weights"],
-    "spectrum": ["family", "J12", "J13", "a12", "a13"],
+    "spectrum": ["family"],
     "phase-map": ["a12_range", "a13_range", "n_grid"],
-    "moments": ["sites", "J12", "J13", "a12", "a13", "m", "g", "label"],
+    "moments": ["sites", "m", "g", "label"],
     "levels-report": ["b_min", "b_max", "n_grid", "delta_gap", "gamma"],
     "simulate": ["A", "inv_temp", "gamma", "delta_gap", "field", "init",
                  "n_steps", "lzs_mode", "mode"],
@@ -448,28 +465,39 @@ PLAUSIBLE = {
 }
 
 
-def _value(key):
+def _value(key, plausible):
     if key in ("n_grid", "n_steps"):
         return st.sampled_from(SIZES)
     if key == "field":
         return st.sampled_from([_object(FIELD_KEYS)] * 7 + [WILD]).flatmap(
             lambda values: values)
-    plausible = PLAUSIBLE.get(key, NUMBERS)
     # one value in eight is a wild one
-    return st.sampled_from([plausible] * 7 + [WILD]).flatmap(
+    return st.sampled_from([plausible.get(key, NUMBERS)] * 7 + [WILD]).flatmap(
         lambda values: values)
 
 
-def _object(keys):
+def _object(keys, plausible=PLAUSIBLE):
     """Config objects over keys, with a few of them left out and, one time
     in eight, an unknown key."""
     def trim(doc, dropped, unknown):
         return {k: v for k, v in doc.items()
                 if k not in dropped and (unknown or k != "bogus")}
     return st.builds(
-        trim, st.fixed_dictionaries({k: _value(k) for k in keys + ["bogus"]}),
+        trim, st.fixed_dictionaries({k: _value(k, plausible)
+                                     for k in keys + ["bogus"]}),
         st.sets(st.sampled_from(keys), max_size=2),
         st.sampled_from([False] * 7 + [True]))
+
+
+def _case(command):
+    """(command, config object) over the command's keys."""
+    if command not in ("spectrum", "moments"):
+        return st.tuples(st.just(command), _object(KEY_SETS[command]))
+    return st.sampled_from(sorted(FAMILIES)).flatmap(lambda family: st.tuples(
+        st.just(command),
+        _object(KEY_SETS[command] + list(FAMILIES[family].couplings),
+                {**PLAUSIBLE, "family": st.just(family),
+                 "sites": st.just(FAMILIES[family].sites)})))
 
 
 def _reject_constant(name):
@@ -478,8 +506,7 @@ def _reject_constant(name):
 
 @seed(505)
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(KEY_SETS)).flatmap(
-    lambda command: st.tuples(st.just(command), _object(KEY_SETS[command]))))
+@given(st.sampled_from(sorted(KEY_SETS)).flatmap(_case))
 def test_any_config_exits_cleanly(tmp_path_factory, case):
     command, doc = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"

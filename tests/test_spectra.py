@@ -12,22 +12,18 @@ from spincluster.operators import SpinRegister
 from spincluster.spectra import (
     CLAIMED_ORDER_CHAIN,
     CLOSED_FORM_ATOL,
+    FAMILIES,
     classify_ground,
     closed_form_defect,
+    hamiltonian,
     level_energy,
+    levels,
     ordering_report,
-    parallelogram_hamiltonian,
-    parallelogram_levels,
     phase_map,
-    triangle_hamiltonian,
-    triangle_levels,
 )
 
 COUPLING = st.floats(min_value=-6.0, max_value=6.0,
                      allow_nan=False, allow_infinity=False)
-R3 = SpinRegister(3)
-R4 = SpinRegister(4)
-FAMILIES = [(R3, triangle_hamiltonian), (R4, parallelogram_hamiltonian)]
 
 
 def _gap(lo, hi):
@@ -38,7 +34,7 @@ def _gap(lo, hi):
 
 
 def test_triangle_example_levels():
-    table = triangle_levels(1.0, 0.5).by_label()
+    table = levels("triangle", 1.0, 0.5).by_label()
     assert table["alpha"].energy == pytest.approx(-0.875)
     assert table["beta"].energy == pytest.approx(-0.375)
     assert table["quartet"].energy == pytest.approx(0.625)
@@ -46,12 +42,12 @@ def test_triangle_example_levels():
 
 
 def test_triangle_strong_couplings():
-    energies = sorted(lev.energy for lev in triangle_levels(65.0, 7.0).levels)
+    energies = sorted(lev.energy for lev in levels("triangle", 65.0, 7.0).levels)
     assert energies == pytest.approx([-63.25, -5.25, 34.25])
 
 
 def test_parallelogram_example_levels():
-    table = parallelogram_levels(1.0, -3.0).by_label()
+    table = levels("parallelogram", 1.0, -3.0).by_label()
     assert table["quintet"].energy == pytest.approx(-0.5)
     assert table["triplet1"].energy == pytest.approx(1.5)
     assert table["triplet2"].energy == pytest.approx(17.0 / 6.0)
@@ -64,10 +60,9 @@ def test_parallelogram_example_levels():
 @settings(max_examples=60, deadline=None)
 @given(COUPLING, COUPLING)
 def test_triangle_closed_form_matches_diagonalization(J12, J13):
-    levelset = triangle_levels(J12, J13)
-    ham = triangle_hamiltonian(R3, J12, J13)
+    levelset = levels("triangle", J12, J13)
     scale = max(1.0, abs(J12), abs(J13))
-    assert closed_form_defect(R3, levelset, ham) < CLOSED_FORM_ATOL * scale
+    assert closed_form_defect("triangle", J12, J13) < CLOSED_FORM_ATOL * scale
     assert abs(levelset.weighted_sum()) < 1e-10 * scale
     assert levelset.total_multiplicity() == 8
 
@@ -76,10 +71,9 @@ def test_triangle_closed_form_matches_diagonalization(J12, J13):
 @settings(max_examples=60, deadline=None)
 @given(COUPLING, COUPLING)
 def test_parallelogram_closed_form_matches_diagonalization(a12, a13):
-    levelset = parallelogram_levels(a12, a13)
-    ham = parallelogram_hamiltonian(R4, a12, a13)
+    levelset = levels("parallelogram", a12, a13)
     scale = max(1.0, abs(a12), abs(a13))
-    assert closed_form_defect(R4, levelset, ham) < CLOSED_FORM_ATOL * scale
+    assert closed_form_defect("parallelogram", a12, a13) < CLOSED_FORM_ATOL * scale
     assert abs(levelset.weighted_sum()) < 1e-10 * scale
     assert levelset.total_multiplicity() == 16
 
@@ -99,14 +93,12 @@ def test_classify_ground_other_phases():
     assert tie.ground_S == 0.0  # same spin on both sides of the tie
 
 
-@pytest.mark.parametrize("register, hamiltonian", FAMILIES,
-                         ids=["triangle", "parallelogram"])
-def test_joint_eigenvalues_certify_the_table_on_the_whole_plane(register,
-                                                                 hamiltonian):
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_joint_eigenvalues_certify_the_table_on_the_whole_plane(family):
     # H(x, y) = x H(1, 0) + y H(0, 1), and the two commute, so their joint
     # eigenvalue pairs are every level's coefficients for all couplings
-    hx, hy = hamiltonian(register, 1.0, 0.0), hamiltonian(register, 0.0, 1.0)
-    assert np.max(np.abs(hamiltonian(register, 2.0, -3.0) - (2 * hx - 3 * hy))) < 1e-14
+    hx, hy = hamiltonian(family, 1.0, 0.0), hamiltonian(family, 0.0, 1.0)
+    assert np.max(np.abs(hamiltonian(family, 2.0, -3.0) - (2 * hx - 3 * hy))) < 1e-14
     assert np.max(np.abs(hx @ hy - hy @ hx)) < 1e-14
     # no two distinct rational pairs tie along an irrational direction
     _, vectors = np.linalg.eigh(hx + np.sqrt(2.0) * hy)
@@ -121,7 +113,7 @@ def test_joint_eigenvalues_certify_the_table_on_the_whole_plane(register,
             coeffs.append(exact)
         pairs[tuple(coeffs)] += 1
     assert pairs == {row.energy: int(2 * row.S + 1)
-                     for row in LEVELS[register.n_sites]}
+                     for row in LEVELS[FAMILIES[family].sites]}
 
 
 @seed(304)
@@ -129,9 +121,10 @@ def test_joint_eigenvalues_certify_the_table_on_the_whole_plane(register,
 @given(COUPLING, COUPLING)
 def test_every_row_state_carries_its_row_energy(x, y):
     scale = max(1.0, abs(x), abs(y))
-    for register, hamiltonian in FAMILIES:
-        ham = hamiltonian(register, x, y)
-        for row in LEVELS[register.n_sites]:
+    for family, (sites, _, _) in FAMILIES.items():
+        register = SpinRegister(sites)
+        ham = hamiltonian(family, x, y)
+        for row in LEVELS[sites]:
             energy = level_energy(row, x, y)
             for m in projections(row.S):
                 state = level_state(register, row.label, m)
@@ -185,7 +178,7 @@ def test_phase_map_through_exact_ties_matches_pointwise_classification():
     assert [(pt.a12, pt.a13) for pt in points] == grid
     for pt in points:
         assert pt == classify_ground(pt.a12, pt.a13)
-        levelset = parallelogram_levels(pt.a12, pt.a13)
+        levelset = levels("parallelogram", pt.a12, pt.a13)
         assert list(pt.ground_labels) == levelset.ground_labels()
     table = {(pt.a12, pt.a13): pt for pt in points}
     assert len(table[0.0, 0.0].ground_labels) == 6
@@ -207,9 +200,3 @@ def test_ordering_claim_is_reported_not_asserted():
     weights = (Fraction(3), Fraction(2, 3), 0, 1, 0)
     assert tuple(sum(w * link[i] for w, link in zip(weights, links))
                  for i in (0, 1)) == (0, 0)
-
-
-def test_closed_form_defect_checks_dimensions():
-    with pytest.raises(ConfigError):
-        closed_form_defect(R3, parallelogram_levels(1.0, -3.0),
-                           triangle_hamiltonian(R3, 1.0, 0.5))

@@ -157,6 +157,15 @@ def test_members_without_real_root_fail_loudly():
         extract_mixing_theta(R4, member)
 
 
+def test_near_equal_edges_follow_one_root_rule():
+    # a12 - a34 = 1e-13 counts as equal edges, here where g = 0 too
+    p, q = 1.0, 1.0 - 1e-13
+    member = constrained_couplings_parallelogram(p, q, (2.0 * p + 6.0 * q) / 8.0)
+    assert has_real_mixing_angle(member)
+    assert extract_mixing_theta(R4, member) == 0.0
+    assert mixing_angle_report(R4, member)["relation_theta"] == 0.0
+
+
 def test_diagonalizing_theta_kills_offdiagonal():
     member = constrained_couplings_parallelogram(1.0, 2.0, 0.0)
     theta = diagonalizing_theta(R4, member)

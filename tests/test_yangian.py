@@ -180,6 +180,11 @@ def test_action_block_needs_an_exact_projection():
         numeric_action_block(SpinRegister(4), np.zeros(4), 1.0, 0.2)
 
 
+def test_action_block_needs_a_spin_the_register_has():
+    with pytest.raises(ConfigError, match=r"no S = 3\.0 multiplet"):
+        numeric_action_block(SpinRegister(4), np.zeros(4), 3.0, 0.0)
+
+
 def test_action_block_zero_weights_doublet():
     blocks = action_blocks(3, np.zeros(3))
     target = np.array([[-1.75, -np.sqrt(3) / 2], [-np.sqrt(3) / 2, -0.75]])
