@@ -162,7 +162,7 @@ def _cmd_check_yangian(cfg) -> str:
 
 def _cmd_commutant(cfg) -> str:
     register, weights = _register_and_weights(cfg)
-    family = symmetry.commutant_family(register, yangian.build_q(register, weights))
+    family = symmetry.commutant_family(register, yangian.hermitian_q(register, weights))
     pairs = symmetry.pair_order(register.n_sites)
     return _json({
         "sites": register.n_sites,

@@ -153,7 +153,7 @@ def rate_matrix_coefficients(W: dict, mode: str = "derived") -> RateCoefficients
         w = {pair: _as_float(W[pair]) for pair in LEVEL_PAIRS}
     except KeyError as missing:
         raise ConfigError(f"rate table missing pair {missing}") from None
-    if min(np.min(rate) for rate in w.values()) < 0:
+    if not all(np.min(rate) >= 0 for rate in w.values()):  # NaN fails too
         raise ConfigError("negative transition rate")
     wpo, wop = w[("+", "0")], w[("0", "+")]
     wmo, wom = w[("-", "0")], w[("0", "-")]
@@ -232,7 +232,7 @@ def _initial_state(init, scale0: float, params: RateParams):
     except (TypeError, ValueError):
         raise ConfigError(f"cannot interpret init {init!r}") from None
     pops = (0.5 * (1.0 - rho00 - n0), rho00, 0.5 * (1.0 - rho00 + n0))
-    if min(pops) < -1e-9 or max(pops) > 1.0 + 1e-9:
+    if not all(-1e-9 <= pop <= 1.0 + 1e-9 for pop in pops):  # NaN fails too
         raise ConfigError(
             f"explicit init (n0={n0}, rho00={rho00}) implies populations "
             f"{pops} outside [0, 1]")

@@ -37,7 +37,7 @@ def _checked_state(register: SpinRegister, state) -> np.ndarray:
         raise ConfigError(
             f"state has dimension {vec.size}, register needs {register.dim}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > STATE_NORM_ATOL:
+    if not abs(norm - 1.0) <= STATE_NORM_ATOL:  # NaN fails too
         raise ConfigError(f"state norm {norm!r} is not 1 within tolerance")
     return vec
 
@@ -90,8 +90,8 @@ def magnetization_expectation(populations, scale: float) -> float:
     pops = np.asarray(populations, dtype=float).reshape(-1)
     if pops.size != 3:
         raise ConfigError("expected three level populations (+, 0, -)")
-    if np.min(pops) < -POPULATION_SUM_ATOL:
+    if not np.min(pops) >= -POPULATION_SUM_ATOL:  # NaN fails too
         raise ConfigError(f"negative population {np.min(pops)!r}")
-    if abs(np.sum(pops) - 1.0) > POPULATION_SUM_ATOL:
+    if not abs(np.sum(pops) - 1.0) <= POPULATION_SUM_ATOL:
         raise ConfigError(f"populations sum to {np.sum(pops)!r}, not 1")
     return float(-scale * (pops[0] - pops[2]))

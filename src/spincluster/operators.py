@@ -166,13 +166,15 @@ def superposition(register: SpinRegister, terms: dict) -> np.ndarray:
     return vec / norm
 
 
-def fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first largest-magnitude entry is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if np.abs(pivot) == 0:
-        return vec
-    return vec * (pivot.conjugate() / np.abs(pivot))
+def fix_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of a vector, or of each column of a matrix, so
+    that its first largest-magnitude entry is real positive; a zero vector
+    keeps its entries."""
+    pivots = np.take_along_axis(
+        vecs, np.argmax(np.abs(vecs), axis=0, keepdims=True), axis=0)
+    size = np.abs(pivots)
+    return vecs * np.divide(pivots.conj(), size, out=np.ones_like(pivots),
+                            where=size != 0)
 
 
 @dataclass
@@ -215,11 +217,9 @@ def hermitian_eig(matrix: np.ndarray) -> Spectrum:
     The Hermiticity gate is that of :func:`checked_eigh`.
     """
     vals, vecs = checked_eigh(matrix)
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
-    vecs = vecs * (pivots.conj() / np.abs(pivots))  # fix_phase of each column
     groups, start = [], 0
     for i in range(1, len(vals) + 1):
         if i == len(vals) or vals[i] - vals[i - 1] > DEGENERACY_GTOL:
             groups.append(list(range(start, i)))
             start = i
-    return Spectrum(vals, vecs, groups)
+    return Spectrum(vals, fix_phase(vecs), groups)

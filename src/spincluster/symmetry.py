@@ -240,12 +240,15 @@ def has_real_mixing_angle(couplings) -> bool:
     return _relation_terms(couplings)[2]
 
 
+def _scale(couplings: CouplingSet) -> float:
+    return max(1.0, float(np.max(np.abs(couplings.vector()))))
+
+
 def _check_membership(register: SpinRegister, couplings) -> CouplingSet:
     couplings = _as_coupling_set(4, couplings)
     if register.n_sites != 4:
         raise ConfigError("mixing angle is defined for the four-site family")
-    scale = max(1.0, float(np.max(np.abs(couplings.vector()))))
-    if family_fill_residual(couplings) > FAMILY_COMMUTATOR_ATOL * scale:
+    if family_fill_residual(couplings) > FAMILY_COMMUTATOR_ATOL * _scale(couplings):
         defect = commutator_defect(register, build_q(register, np.zeros(4)),
                                    couplings)
         raise ConfigError(
@@ -287,7 +290,7 @@ def _assert_m_independence(register: SpinRegister, couplings):
     blocks = [numeric_degenerate_block(register, couplings, m)
               for m in (-1.0, 0.0, 1.0)]
     worst = max(float(np.max(np.abs(b - blocks[0]))) for b in blocks[1:])
-    if worst > M_INDEPENDENCE_ATOL:
+    if not worst <= M_INDEPENDENCE_ATOL * _scale(couplings):  # NaN fails too
         raise NumericalCheckError(
             f"degenerate block depends on m (defect {worst:.3e})"
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
-from .multiplets import _SEEDS, LabeledState, branches, projections
+from .multiplets import LabeledState, branches, multiplet_table, projections
 from .operators import (
     SpinRegister,
     VectorOperator,
@@ -84,9 +84,7 @@ def triple_prefactors(weights) -> np.ndarray:
     """
     u = np.asarray(weights, dtype=float)
     n = u.shape[0]
-    if n == 2:
-        return np.zeros(0)
-    if n not in (3, 4):
+    if n not in (2, 3, 4):
         raise ConfigError(f"unsupported register size {n}")
     return np.array(
         [u[i] - u[j] + u[k]
@@ -97,11 +95,17 @@ def triple_prefactors(weights) -> np.ndarray:
 def q_hermiticity_condition(weights, n_sites: int) -> bool:
     """True iff Q built with these weights is Hermitian."""
     u = _check_weights(n_sites, weights)
-    if n_sites == 2:
-        return True
-    return bool(
-        np.all(np.abs(triple_prefactors(u)) < HERMITICITY_CONDITION_ATOL)
-    )
+    return bool(np.all(np.abs(triple_prefactors(u)) < HERMITICITY_CONDITION_ATOL))
+
+
+def hermitian_q(register: SpinRegister, weights) -> np.ndarray:
+    """Q for weights that satisfy :func:`q_hermiticity_condition`; the one
+    gate that rejects non-Hermitian weights, with ConfigError."""
+    u = _check_weights(register.n_sites, weights)
+    if not q_hermiticity_condition(u, register.n_sites):
+        raise ConfigError("Q is not Hermitian for these weights; "
+                          f"triple prefactors {triple_prefactors(u)}")
+    return build_q(register, u)
 
 
 def hermiticity_defect(register: SpinRegister, weights) -> float:
@@ -177,10 +181,14 @@ def _expanded_q4(register: SpinRegister, u: np.ndarray) -> np.ndarray:
 # sector action matrices
 
 
+def _branch_columns(register: SpinRegister, S: float, m: float) -> np.ndarray:
+    return np.column_stack([br.member(m) for br in branches(register, S)])
+
+
 def numeric_action_block(register: SpinRegister, weights, S: float, m: float) -> np.ndarray:
     """<branch_a, m| Q |branch_b, m> over the laddered branches of spin S."""
     q = build_q(register, weights)
-    cols = np.column_stack([br.member(m) for br in branches(register, S)])
+    cols = _branch_columns(register, S, m)
     return cols.conj().T @ q @ cols
 
 
@@ -337,32 +345,23 @@ def check_yangian_axioms(register: SpinRegister, weights) -> AxiomReport:
 def q_joint_labels(register: SpinRegister, weights) -> list:
     """Simultaneous eigenbasis of {S^2, S_z, Q} with (S, m, q) labels.
 
-    Requires Hermitian Q (see :func:`q_hermiticity_condition`).  Within
-    each (S, m) sector the branch-space block of Q is diagonalized;
-    states that share a degeneracy group of :func:`hermitian_eig` are
-    flagged degenerate and span an arbitrary orthonormal choice.
+    Requires Hermitian Q (:func:`hermitian_q`).  Q's block over the spin-S
+    branches is the same at every m, so it is diagonalized once, at m = -S,
+    and its eigenvectors are laddered to every m.  States that share a
+    degeneracy group of :func:`hermitian_eig` are flagged degenerate; they
+    span an arbitrary orthonormal choice, the same one at every m.
     """
-    u = _check_weights(register.n_sites, weights)
-    if not q_hermiticity_condition(u, register.n_sites):
-        raise ConfigError(
-            "Q is not Hermitian for these weights; "
-            f"triple prefactors {triple_prefactors(u)}"
-        )
-    q = build_q(register, weights)
-    spin_values = sorted({S for S, _ in _SEEDS[register.n_sites]}, reverse=True)
+    q = hermitian_q(register, weights)
     out = []
-    for S in spin_values:
-        sector_branches = branches(register, S)
+    for S in dict.fromkeys(mp.S for mp in multiplet_table(register)):
+        cols = _branch_columns(register, S, -S)
+        spec = hermitian_eig(cols.conj().T @ q @ cols)
+        shared = {idx: len(group) > 1 for group in spec.groups for idx in group}
         for m in projections(S):
-            cols = np.column_stack([br.member(m) for br in sector_branches])
-            spec = hermitian_eig(cols.conj().T @ q @ cols)
-            shared = {idx: len(group) > 1 for group in spec.groups for idx in group}
-            for idx in range(len(sector_branches)):
-                vec = fix_phase(cols @ spec.eigenvectors[:, idx])
-                out.append(LabeledState(
-                    S=S, m=m, q=float(spec.eigenvalues[idx]), vector=vec,
-                    degenerate=shared[idx],
-                ))
+            states = fix_phase(_branch_columns(register, S, m) @ spec.eigenvectors)
+            out.extend(LabeledState(S, m, float(spec.eigenvalues[idx]),
+                                    states[:, idx], degenerate=shared[idx])
+                       for idx in range(len(spec.eigenvalues)))
     return out
 
 
@@ -370,10 +369,7 @@ def q_spectrum(register: SpinRegister, weights=None):
     """Full spectrum of Q (Hermitian weights only) with degeneracy groups."""
     if weights is None:
         weights = np.zeros(register.n_sites)
-    u = _check_weights(register.n_sites, weights)
-    if not q_hermiticity_condition(u, register.n_sites):
-        raise ConfigError("Q spectrum requires Hermitian weights")
-    return hermitian_eig(build_q(register, u))
+    return hermitian_eig(hermitian_q(register, weights))
 
 
 def verbatim_action_discrepancies(n_sites: int, weights) -> dict:

@@ -123,6 +123,22 @@ def test_q_spectrum_rejects_non_hermitian_weights(tmp_path):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("weights, code", [
+    ([0.3, 0.3, 5e-11], 2),      # u1 - u2 + u3 = 5e-11
+    ([1e-11, 0.0, 0.0, 0.0], 2),
+    ([0.3, 0.3, 0.0], 0),
+])
+def test_q_spectrum_and_commutant_share_one_hermiticity_rule(tmp_path, weights,
+                                                             code):
+    path = write_cfg(tmp_path, {"sites": len(weights), "weights": weights})
+    spectrum, commutant = run("q-spectrum", path), run("commutant", path)
+    assert spectrum[0] == commutant[0] == code
+    assert spectrum[2] == commutant[2]
+    if code:
+        assert commutant[2].startswith(
+            "config error: Q is not Hermitian for these weights; triple prefactors")
+
+
 def test_check_yangian_at_zero_weights():
     code, out, _ = run("check-yangian", "--sites", "3")
     assert code == 0

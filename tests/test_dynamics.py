@@ -137,6 +137,20 @@ def test_coefficients_validate_input():
                                  mode="guessed")
 
 
+def test_nan_rate_is_a_config_error():
+    for pair in LEVEL_PAIRS:
+        rates = {other: 1.0 for other in LEVEL_PAIRS}
+        rates[pair] = np.nan
+        with pytest.raises(ConfigError, match="negative transition rate"):
+            rate_matrix_coefficients(rates)
+
+
+@pytest.mark.parametrize("init", [(np.nan, 0.0), (0.0, np.nan)])
+def test_nan_explicit_init_is_a_config_error(init):
+    with pytest.raises(ConfigError, match="outside"):
+        integrate_magnetization(RateParams(), FieldProfile(), init=init)
+
+
 @seed(502)
 @settings(max_examples=50, deadline=None)
 @given(st.lists(RATE, min_size=6, max_size=6))

@@ -84,6 +84,17 @@ def test_local_moments_input_validation():
         local_moments(R3, np.zeros(16))        # wrong dimension
 
 
+@pytest.mark.parametrize("check", [local_moments, total_spin_labels])
+def test_nan_state_is_a_config_error(check):
+    with pytest.raises(ConfigError, match="is not 1 within tolerance"):
+        check(R4, np.full(16, np.nan))
+
+
+def test_nan_population_is_a_config_error():
+    with pytest.raises(ConfigError, match="negative population"):
+        magnetization_expectation((np.nan, 0.0, 1.0), 1.0)
+
+
 def test_magnetization_expectation():
     assert magnetization_expectation((0.2, 0.3, 0.5), 1.0) == pytest.approx(0.3)
     assert magnetization_expectation((0.5, 0.3, 0.2), 2.0) == pytest.approx(-0.6)

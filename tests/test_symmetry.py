@@ -134,6 +134,20 @@ def test_angle_constructed_members_satisfy_relation(p, q, theta):
     assert mixing_relation_residual(member, theta) < RELATION_RESIDUAL_ATOL * scale
 
 
+@seed(207)
+@settings(max_examples=25, deadline=None)
+@given(COUPLING, COUPLING,
+       st.floats(min_value=-3.0, max_value=3.0).filter(lambda t: abs(t) > 1e-3))
+def test_m_independence_gate_scales_with_the_couplings(p, q, theta):
+    # at couplings of order 1e6 the block's m-dependence from rounding alone
+    # exceeds the unit-scale bound of 1e-10
+    assume(abs(p - q) > 1e-6)
+    member = _member_from_angle(1e6 * p, 1e6 * q, theta)
+    got = extract_mixing_theta(R4, member)
+    scale = 1e6 * max(1.0, abs(p), abs(q))
+    assert mixing_relation_residual(member, got) < RELATION_RESIDUAL_ATOL * scale
+
+
 @seed(204)
 @settings(max_examples=25, deadline=None)
 @given(COUPLING, COUPLING)

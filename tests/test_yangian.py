@@ -12,8 +12,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spincluster import yangian
 from spincluster.errors import ConfigError
-from spincluster.operators import SpinRegister
+from spincluster.operators import SpinRegister, total_spin
 from spincluster.yangian import (
     ACTION_ATOL,
     EXPANSION_ATOL,
@@ -24,6 +25,7 @@ from spincluster.yangian import (
     check_yangian_axioms,
     expanded_q,
     hermiticity_defect,
+    hermitian_q,
     numeric_action_block,
     q_hermiticity_condition,
     q_joint_labels,
@@ -128,6 +130,67 @@ def test_four_site_spectrum_at_zero_weights():
 def test_spectrum_rejects_nonhermitian_weights():
     with pytest.raises(ConfigError):
         q_spectrum(SpinRegister(4), [0.3, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("weights", [[0.3, 0.3, 5e-11], [1e-11, 0.0, 0.0, 0.0]])
+def test_one_gate_rejects_nonhermitian_weights(weights):
+    register = SpinRegister(len(weights))
+    messages = set()
+    for call in (hermitian_q, q_spectrum, q_joint_labels):
+        with pytest.raises(ConfigError, match="triple prefactors") as info:
+            call(register, weights)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+def test_hermitian_q_is_build_q_on_the_hermitian_plane():
+    register = SpinRegister(3)
+    u = [0.4, 0.9, 0.5]
+    assert np.array_equal(hermitian_q(register, u), build_q(register, u))
+
+
+@pytest.mark.parametrize("n_sites, sectors", [(2, 2), (3, 2), (4, 3)])
+def test_joint_labels_diagonalize_each_spin_sector_once(monkeypatch, n_sites,
+                                                        sectors):
+    calls = {"build_q": 0, "hermitian_eig": 0}
+
+    def counted(name):
+        original = getattr(yangian, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(yangian, name, counted(name))
+    q_joint_labels(SpinRegister(n_sites), np.zeros(n_sites))
+    assert calls == {"build_q": 1, "hermitian_eig": sectors}
+
+
+@pytest.mark.parametrize("n_sites, weights", [
+    (4, [0.0, 0.0, 0.0, 0.0]),      # q = -1/2 is doubly degenerate at S = 1
+    (3, [0.0, 0.0, 0.0]),
+    (3, [0.7, 0.2, -0.5]),          # Hermitian plane u3 = u2 - u1
+    (3, [-1.3, 0.4, 1.7]),
+])
+def test_joint_labels_form_ladder_consistent_multiplets(n_sites, weights):
+    register = SpinRegister(n_sites)
+    spin = total_spin(register)
+    raising = spin.x + 1j * spin.y
+    states = {}
+    for state in q_joint_labels(register, weights):
+        states.setdefault((state.S, state.m), []).append(state)
+    for (S, m), row in states.items():
+        if m == S:
+            continue
+        above = states[S, m + 1]
+        for k, state in enumerate(row):
+            raised = raising @ state.vector
+            raised /= np.linalg.norm(raised)
+            overlap = abs(np.vdot(above[k].vector, raised))
+            assert overlap >= 1 - 1e-12
+            assert above[k].q == state.q
 
 
 @seed(105)
