@@ -171,26 +171,12 @@ def rate_matrix_coefficients(W: dict, mode: str = "derived") -> RateCoefficients
     )
 
 
-def coefficient_mode_gaps(W: dict) -> dict:
-    """Absolute per-coefficient gap between the two reduction modes."""
-    derived = rate_matrix_coefficients(W, "derived")
-    verbatim = rate_matrix_coefficients(W, "paper_verbatim")
-    return {name: abs(got - want) for name, got, want
-            in zip(RateCoefficients._fields, verbatim, derived)}
-
-
-def _boltzmann(scale: float, inv_temp: float):
-    """Populations (p_+, p_0, p_-) over E_N = scale*N."""
+def boltzmann_populations(scale: float, inv_temp: float) -> np.ndarray:
+    """Boltzmann populations (p_+, p_0, p_-) over the ladder E_N = scale*N."""
     z = np.array([-inv_temp * scale, 0.0, inv_temp * scale])
     z -= z.max()
     p = np.exp(z)
     return p / p.sum()
-
-
-def equilibrium_populations(B: float, params: RateParams):
-    """Boltzmann occupations of the bare ladder E_N = gamma*B*N."""
-    p = _boltzmann(params.gamma * B, params.inv_temp)
-    return float(p[0]), float(p[1]), float(p[2])
 
 
 @dataclass(frozen=True)
@@ -220,7 +206,7 @@ class Trajectory:
 def _initial_state(init, scale0: float, params: RateParams):
     if isinstance(init, str):
         if init == "equilibrium":
-            p = _boltzmann(scale0, params.inv_temp)
+            p = boltzmann_populations(scale0, params.inv_temp)
             return float(p[2] - p[0]), float(p[1])
         if init == "polarized_up":
             return -1.0, 0.0
@@ -326,20 +312,6 @@ def enclosed_area(traj: Trajectory, t_start: float = None,
     if mask.sum() < 2:
         raise ConfigError("window selects fewer than two samples")
     return float(abs(np.trapezoid(traj.M_norm[mask], traj.B[mask])))
-
-
-def rho00_mode_report(params: RateParams, profile: FieldProfile,
-                      init="equilibrium", n_steps: int = 4000) -> dict:
-    """Numerical check of how much rho00 cares about the level mixing."""
-    off = integrate_magnetization(params, profile, init, n_steps, "off")
-    adi = integrate_magnetization(params, profile, init, n_steps, "adiabatic")
-    gap = np.abs(off.rho00 - adi.rho00)
-    return {
-        "max_rho00_gap": float(gap.max()),
-        "mean_rho00_gap": float(gap.mean()),
-        "n_steps": n_steps,
-        "delta_gap": params.delta_gap,
-    }
 
 
 # --- coupled two-moment model and its three-level reduction -----------

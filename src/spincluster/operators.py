@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 
-HERMITICITY_ATOL = 1e-10
-DEGENERACY_GTOL = 1e-9
+HERMITICITY_ATOL = 1e-10  # times max(1, max |M|)
+DEGENERACY_GTOL = 1e-9  # times max(1, max |eigenvalue|)
 
 _UP, _DOWN = "u", "d"
 
@@ -194,32 +194,41 @@ class Spectrum:
         return [(float(np.mean(self.eigenvalues[g])), len(g)) for g in self.groups]
 
 
+def hermiticity_defect(matrix: np.ndarray) -> tuple:
+    """(max |M - M^dag|, its bound HERMITICITY_ATOL * max(1, max |M|)) over
+    a matrix or a stack of matrices; a non-finite entry makes the bound
+    NaN, so ``defect <= bound`` fails.  The one Hermiticity measure."""
+    size = np.max(np.abs(matrix))
+    bound = HERMITICITY_ATOL * max(1.0, size) if np.isfinite(size) else np.nan
+    return float(np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()))), bound
+
+
 def checked_eigh(matrix: np.ndarray):
     """``np.linalg.eigh`` of the Hermitian part of a matrix, or of a stack
     of matrices along the leading axes.
 
-    Raises NumericalCheckError when any matrix fails Hermiticity by more
-    than the module tolerance; the message reports the largest asymmetry.
+    Raises NumericalCheckError when any matrix fails
+    :func:`hermiticity_defect`; the message reports the largest asymmetry.
     """
-    adjoint = np.swapaxes(matrix, -1, -2).conj()
-    asym = np.max(np.abs(matrix - adjoint))
-    if not asym <= HERMITICITY_ATOL:  # NaN fails too
+    asym, bound = hermiticity_defect(matrix)
+    if not asym <= bound:  # NaN fails too
         raise NumericalCheckError(
             f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}"
         )
-    return np.linalg.eigh((matrix + adjoint) / 2)
+    return np.linalg.eigh((matrix + np.swapaxes(matrix, -1, -2).conj()) / 2)
 
 
 def hermitian_eig(matrix: np.ndarray) -> Spectrum:
     """Diagonalize a Hermitian matrix and group levels that lie within
-    DEGENERACY_GTOL of their neighbour.
+    DEGENERACY_GTOL * max(1, max |eigenvalue|) of their neighbour.
 
     The Hermiticity gate is that of :func:`checked_eigh`.
     """
     vals, vecs = checked_eigh(matrix)
+    gap = DEGENERACY_GTOL * max(1.0, float(np.max(np.abs(vals))))
     groups, start = [], 0
     for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > DEGENERACY_GTOL:
+        if i == len(vals) or vals[i] - vals[i - 1] > gap:
             groups.append(list(range(start, i)))
             start = i
     return Spectrum(vals, fix_phase(vecs), groups)

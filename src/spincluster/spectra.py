@@ -12,7 +12,6 @@ sweeps that comparison over a grid.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -82,9 +81,6 @@ class LevelSet:
     def weighted_sum(self) -> float:
         return float(sum(lev.energy * lev.multiplicity for lev in self.levels))
 
-    def total_multiplicity(self) -> int:
-        return sum(lev.multiplicity for lev in self.levels)
-
     def by_label(self) -> dict:
         return {lev.label: lev for lev in self.levels}
 
@@ -135,19 +131,11 @@ def closed_form_defect(family: str, x: float, y: float) -> float:
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    a12: float
-    a13: float
-    ground_labels: tuple
-    ground_S: object  # half-integer, or "degenerate-mixed" on mixed ties
-    ground_energy: float
-
-
-@dataclass(frozen=True)
 class PhaseMap:
     """Ground-state classification as columns over points (a12, a13);
     ``pattern`` indexes the per-pattern (ground_labels, ground_S)
-    ``summaries``, and ``[k]`` is the PhasePoint of point k."""
+    ``summaries``, where ground_S is a half-integer, or "degenerate-mixed"
+    when levels of different spin tie."""
 
     a12: np.ndarray
     a13: np.ndarray
@@ -158,11 +146,6 @@ class PhaseMap:
     def __len__(self) -> int:
         return self.a12.size
 
-    def __getitem__(self, k: int) -> PhasePoint:
-        return PhasePoint(float(self.a12[k]), float(self.a13[k]),
-                          *self.summaries[self.pattern[k]],
-                          float(self.ground_energy[k]))
-
     def to_csv(self) -> str:
         """One row per point; the labels and S of a pattern are one cell."""
         cells = np.array([";".join(labels) + "," + (
@@ -171,26 +154,6 @@ class PhaseMap:
         return csv_text("a12,a13,ground_labels,ground_S,ground_energy",
                         "%.17g,%.17g,%s,%.17g\n",
                         (self.a12, self.a13, cells[self.pattern], self.ground_energy))
-
-
-def _classify(a12: np.ndarray, a13: np.ndarray) -> PhaseMap:
-    """The PhaseMap of the (a12, a13) pairs of two float arrays."""
-    energies = np.array([level_energy(row, a12, a13) for row in LEVELS[4]])
-    winners, ground = tied_ground(energies)
-    # each distinct winner pattern is summarized once
-    patterns, which = np.unique(winners, axis=1, return_inverse=True)
-    summaries = []
-    for pattern in patterns.T:
-        rows = [row for row, won in zip(LEVELS[4], pattern) if won]
-        spins = {row.S for row in rows}
-        summaries.append((tuple(row.label for row in rows),
-                          rows[0].S if len(spins) == 1 else "degenerate-mixed"))
-    return PhaseMap(a12, a13, ground, which.reshape(-1), tuple(summaries))
-
-
-def classify_ground(a12: float, a13: float) -> PhasePoint:
-    """All levels tied for the minimum of the four-site family."""
-    return _classify(np.array([a12], dtype=float), np.array([a13], dtype=float))[0]
 
 
 def _axis(bounds, n_grid: int) -> np.ndarray:
@@ -209,37 +172,16 @@ def _axis(bounds, n_grid: int) -> np.ndarray:
 def phase_map(a12_range, a13_range, n_grid: int) -> PhaseMap:
     """Ground-state classification on a regular coupling grid, a13
     running fastest."""
-    a12, a13 = np.meshgrid(_axis(a12_range, n_grid), _axis(a13_range, n_grid),
-                           indexing="ij")
-    return _classify(a12.ravel(), a13.ravel())
-
-
-# The claimed full ordering of the six levels in the region a12 > 0,
-# a13 < -2*a12 is mutually inconsistent (its last two links need
-# a13 > 0), so it is reported link by link rather than asserted.
-CLAIMED_ORDER_CHAIN = (
-    "triplet3", "singlet_plus", "quintet",
-    "singlet_minus", "triplet1", "triplet2",
-)
-
-
-def ordering_report(a12: float, a13: float) -> dict:
-    levelset = levels("parallelogram", a12, a13)
-    table = levelset.by_label()
-    links = []
-    for lo, hi in zip(CLAIMED_ORDER_CHAIN[:-1], CLAIMED_ORDER_CHAIN[1:]):
-        links.append({
-            "claim": f"{lo} < {hi}",
-            "lhs": table[lo].energy,
-            "rhs": table[hi].energy,
-            "holds": bool(table[lo].energy < table[hi].energy),
-        })
-    actual = sorted(levelset.levels, key=attrgetter("energy"))
-    return {
-        "a12": a12,
-        "a13": a13,
-        "claimed_chain": list(CLAIMED_ORDER_CHAIN),
-        "actual_order": [lev.label for lev in actual],
-        "links": links,
-        "chain_holds": all(link["holds"] for link in links),
-    }
+    a12, a13 = (axis.ravel() for axis in np.meshgrid(
+        _axis(a12_range, n_grid), _axis(a13_range, n_grid), indexing="ij"))
+    energies = np.array([level_energy(row, a12, a13) for row in LEVELS[4]])
+    winners, ground = tied_ground(energies)
+    # each distinct winner pattern is summarized once
+    patterns, which = np.unique(winners, axis=1, return_inverse=True)
+    summaries = []
+    for pattern in patterns.T:
+        rows = [row for row, won in zip(LEVELS[4], pattern) if won]
+        spins = {row.S for row in rows}
+        summaries.append((tuple(row.label for row in rows),
+                          rows[0].S if len(spins) == 1 else "degenerate-mixed"))
+    return PhaseMap(a12, a13, ground, which.reshape(-1), tuple(summaries))

@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .multiplets import mixing_pair
-from .operators import (
-    HERMITICITY_ATOL,
-    SpinRegister,
-    commutator,
-    site_spin,
-)
+from .operators import SpinRegister, commutator, hermiticity_defect, site_spin
 from .yangian import build_q
 
 COMMUTANT_SVD_RTOL = 1e-10
@@ -111,8 +106,8 @@ def _as_coupling_set(n_sites: int, couplings) -> CouplingSet:
 def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFamily:
     """Nullspace of a |-> [Q, H(a)] over coupling space, via SVD; singular
     values below COMMUTANT_SVD_RTOL of the largest count as zero."""
-    defect = float(np.max(np.abs(q_matrix - q_matrix.conj().T)))
-    if not defect <= HERMITICITY_ATOL:  # NaN fails too
+    defect, bound = hermiticity_defect(q_matrix)
+    if not defect <= bound:  # NaN fails too
         raise ConfigError(f"Q must be Hermitian (defect {defect:.3e})")
     pairs = pair_order(register.n_sites)
     spins = [site_spin(register, k) for k in range(register.n_sites)]
@@ -121,8 +116,7 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFa
         h_ij = spins[i - 1].dot(spins[j - 1])
         columns.append(commutator(q_matrix, h_ij).ravel())
     m = np.column_stack(columns)
-    _, sv, vh = np.linalg.svd(m, full_matrices=True)
-    sv = np.concatenate([sv, np.zeros(len(pairs) - len(sv))])
+    _, sv, vh = np.linalg.svd(m, full_matrices=False)
     if sv[0] == 0.0:
         rank = 0
     else:
@@ -308,23 +302,3 @@ def diagonalizing_theta(register: SpinRegister, couplings) -> float:
     elif theta <= -np.pi / 2:
         theta += np.pi
     return theta
-
-
-def mixing_angle_report(register: SpinRegister, couplings) -> dict:
-    """Both angle notions side by side with their residuals."""
-    couplings = _check_membership(register, couplings)
-    report = {"has_real_root": has_real_mixing_angle(couplings)}
-    theta_d = diagonalizing_theta(register, couplings)
-    report["diagonalizing_theta"] = theta_d
-    report["diagonalizing_relation_residual"] = float(
-        mixing_relation_residual(couplings, theta_d))
-    report["diagonalizing_offdiagonal"] = float(
-        rotated_offdiagonal(couplings, theta_d))
-    if report["has_real_root"]:
-        theta = extract_mixing_theta(register, couplings)
-        report["relation_theta"] = theta
-        report["relation_residual"] = float(
-            mixing_relation_residual(couplings, theta))
-        report["relation_offdiagonal"] = float(
-            rotated_offdiagonal(couplings, theta))
-    return report

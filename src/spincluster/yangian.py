@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalCheckError
+from .errors import ConfigError
 from .multiplets import LabeledState, branches, multiplet_table, projections
 from .operators import (
     SpinRegister,
@@ -43,7 +43,7 @@ LEVEL_ZERO_ATOL = 1e-12
 EXPANSION_ATOL = 1e-12
 ACTION_ATOL = 1e-10
 SERRE_CONSISTENT_ATOL = 1e-10
-HERMITICITY_CONDITION_ATOL = 1e-12
+HERMITICITY_CONDITION_ATOL = 1e-12  # times max(1, max |u|)
 
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
@@ -93,9 +93,11 @@ def triple_prefactors(weights) -> np.ndarray:
 
 
 def q_hermiticity_condition(weights, n_sites: int) -> bool:
-    """True iff Q built with these weights is Hermitian."""
+    """True iff Q built with these weights is Hermitian: every triple
+    prefactor is below HERMITICITY_CONDITION_ATOL * max(1, max |u|)."""
     u = _check_weights(n_sites, weights)
-    return bool(np.all(np.abs(triple_prefactors(u)) < HERMITICITY_CONDITION_ATOL))
+    bound = HERMITICITY_CONDITION_ATOL * max(1.0, float(np.max(np.abs(u))))
+    return bool(np.all(np.abs(triple_prefactors(u)) < bound))
 
 
 def hermitian_q(register: SpinRegister, weights) -> np.ndarray:
@@ -106,12 +108,6 @@ def hermitian_q(register: SpinRegister, weights) -> np.ndarray:
         raise ConfigError("Q is not Hermitian for these weights; "
                           f"triple prefactors {triple_prefactors(u)}")
     return build_q(register, u)
-
-
-def hermiticity_defect(register: SpinRegister, weights) -> float:
-    """Max entrywise magnitude of Q - Q^dagger."""
-    q = build_q(register, weights)
-    return float(np.max(np.abs(q - q.conj().T)))
 
 
 def expanded_q(register: SpinRegister, weights) -> np.ndarray:
@@ -370,11 +366,3 @@ def q_spectrum(register: SpinRegister, weights=None):
     if weights is None:
         weights = np.zeros(register.n_sites)
     return hermitian_eig(hermitian_q(register, weights))
-
-
-def verbatim_action_discrepancies(n_sites: int, weights) -> dict:
-    """Entrywise |derived - paper_verbatim| per sector, for reporting."""
-    derived = action_blocks(n_sites, weights, mode="derived")
-    verbatim = action_blocks(n_sites, weights, mode="paper_verbatim")
-    return {name: float(np.max(np.abs(derived[name] - verbatim[name])))
-            for name in derived}

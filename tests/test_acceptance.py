@@ -131,13 +131,11 @@ def test_criterion_05_closed_form_levels():
 
 
 def test_criterion_06_ground_state_over_wedge_grid():
-    a12_vals = np.linspace(0.05, 1.0, 100)
-    a13_vals = np.linspace(-10.0, -2.05, 100)
-    points = [(a12, a13) for a12 in a12_vals for a13 in a13_vals]
-    for a12, a13 in points:
-        pt = spectra.classify_ground(a12, a13)
-        assert tuple(pt.ground_labels) == ("triplet3",)
-        assert pt.ground_S == 1.0
+    grid = spectra.phase_map((0.05, 1.0), (-10.0, -2.05), 100)
+    assert len(grid) == 100 * 100
+    # one winner pattern over the whole grid
+    assert grid.summaries == ((("triplet3",), 1.0),)
+    points = list(zip(grid.a12.tolist(), grid.a13.tolist()))
 
     pair_blocks = [
         symmetry.heisenberg_hamiltonian(R4, {pair: 1.0}).real
@@ -249,14 +247,18 @@ def test_criterion_10_rate_identities():
         B = rng.uniform(-4.0, 4.0)
         rates = dynamics.level_transition_rates(params.gamma * B, params)
         c = dynamics.rate_matrix_coefficients(rates)
-        p_plus, p_zero, p_minus = dynamics.equilibrium_populations(B, params)
+        p_plus, p_zero, p_minus = dynamics.boltzmann_populations(
+            params.gamma * B, params.inv_temp)
         x = p_plus - p_minus
         worst_fix = max(worst_fix, abs(c.C1 * x + c.C2 * p_zero + c.E),
                         abs(c.C3 * x + c.C4 * p_zero + c.F))
     assert worst_fix < 1e-10
 
     rates = dynamics.level_transition_rates(1.7, dynamics.RateParams())
-    gaps = dynamics.coefficient_mode_gaps(rates)
+    derived = dynamics.rate_matrix_coefficients(rates, "derived")
+    verbatim = dynamics.rate_matrix_coefficients(rates, "paper_verbatim")
+    gaps = {name: abs(got - want) for name, got, want
+            in zip(dynamics.RateCoefficients._fields, verbatim, derived)}
     assert gaps["C1"] == pytest.approx(rates[("+", "0")], rel=1e-12)
     assert all(gaps[k] == 0.0 for k in ("C2", "C3", "C4", "E", "F"))
     print(f"[criterion 10] PASS — worst detailed-balance error "

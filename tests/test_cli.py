@@ -139,6 +139,27 @@ def test_q_spectrum_and_commutant_share_one_hermiticity_rule(tmp_path, weights,
             "config error: Q is not Hermitian for these weights; triple prefactors")
 
 
+@seed(506)
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=3.0).filter(lambda a: abs(a) >= 0.1),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=-3.0, max_value=6.0))
+def test_hermitian_plane_is_scale_free(tmp_path_factory, a, b, log_scale):
+    # weights s*(a, b, b - a) lie on the plane u1 - u2 + u3 = 0 up to rounding
+    s = 10.0 ** log_scale
+    on = [s * a, s * b, s * (b - a)]
+    off = on[:2] + [on[2] + 1e-6 * max(map(abs, on))]
+    path = tmp_path_factory.getbasetemp() / "plane.json"
+    for weights, code in ((on, 0), (off, 2)):
+        path.write_text(json.dumps({"sites": 3, "weights": weights}))
+        spectrum, commutant = run("q-spectrum", str(path)), run("commutant", str(path))
+        assert spectrum[0] == commutant[0] == code, (spectrum[2], commutant[2])
+    # half-integer spins: every degenerate group is a union of even multiplets
+    path.write_text(json.dumps({"sites": 3, "weights": on}))
+    groups = json.loads(run("q-spectrum", str(path))[1])["eigenvalues"]
+    assert all(group["multiplicity"] % 2 == 0 for group in groups)
+
+
 def test_check_yangian_at_zero_weights():
     code, out, _ = run("check-yangian", "--sites", "3")
     assert code == 0

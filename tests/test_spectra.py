@@ -10,20 +10,25 @@ from spincluster.errors import ConfigError
 from spincluster.multiplets import LEVELS, level_state, projections
 from spincluster.operators import SpinRegister
 from spincluster.spectra import (
-    CLAIMED_ORDER_CHAIN,
     CLOSED_FORM_ATOL,
     FAMILIES,
-    classify_ground,
     closed_form_defect,
     hamiltonian,
     level_energy,
     levels,
-    ordering_report,
     phase_map,
 )
 
 COUPLING = st.floats(min_value=-6.0, max_value=6.0,
                      allow_nan=False, allow_infinity=False)
+
+# The paper's claimed full ordering of the six four-site levels in the
+# region a12 > 0, a13 < -2*a12; test_ordering_claim_is_reported_not_asserted
+# proves that it holds nowhere.
+CLAIMED_ORDER_CHAIN = (
+    "triplet3", "singlet_plus", "quintet",
+    "singlet_minus", "triplet1", "triplet2",
+)
 
 
 def _gap(lo, hi):
@@ -31,6 +36,12 @@ def _gap(lo, hi):
     where this pair has a negative dot product with the couplings."""
     coeffs = {row.label: row.energy for row in LEVELS[4]}
     return tuple(a - b for a, b in zip(coeffs[lo], coeffs[hi]))
+
+
+def _ground(a12, a13):
+    """(ground_labels, ground_S, ground_energy) of one point's phase map."""
+    grid = phase_map((a12, a12), (a13, a13), 1)
+    return (*grid.summaries[grid.pattern[0]], grid.ground_energy[0])
 
 
 def test_triangle_example_levels():
@@ -64,7 +75,7 @@ def test_triangle_closed_form_matches_diagonalization(J12, J13):
     scale = max(1.0, abs(J12), abs(J13))
     assert closed_form_defect("triangle", J12, J13) < CLOSED_FORM_ATOL * scale
     assert abs(levelset.weighted_sum()) < 1e-10 * scale
-    assert levelset.total_multiplicity() == 8
+    assert len(levelset.expanded()) == 8
 
 
 @seed(302)
@@ -75,22 +86,22 @@ def test_parallelogram_closed_form_matches_diagonalization(a12, a13):
     scale = max(1.0, abs(a12), abs(a13))
     assert closed_form_defect("parallelogram", a12, a13) < CLOSED_FORM_ATOL * scale
     assert abs(levelset.weighted_sum()) < 1e-10 * scale
-    assert levelset.total_multiplicity() == 16
+    assert len(levelset.expanded()) == 16
 
 
 def test_classify_ground_flagship_point():
-    point = classify_ground(1.0, -3.0)
-    assert point.ground_labels == ("triplet3",)
-    assert point.ground_S == 1.0
-    assert point.ground_energy == pytest.approx(-23.0 / 6.0)
+    labels, spin, energy = _ground(1.0, -3.0)
+    assert labels == ("triplet3",)
+    assert spin == 1.0
+    assert energy == pytest.approx(-23.0 / 6.0)
 
 
 def test_classify_ground_other_phases():
-    assert classify_ground(-1.0, 0.0).ground_labels == ("quintet",)
-    assert classify_ground(1.0, 0.0).ground_labels == ("singlet_plus",)
-    tie = classify_ground(1.0, 1.0)
-    assert set(tie.ground_labels) == {"singlet_plus", "singlet_minus"}
-    assert tie.ground_S == 0.0  # same spin on both sides of the tie
+    assert _ground(-1.0, 0.0)[0] == ("quintet",)
+    assert _ground(1.0, 0.0)[0] == ("singlet_plus",)
+    labels, spin, _ = _ground(1.0, 1.0)
+    assert set(labels) == {"singlet_plus", "singlet_minus"}
+    assert spin == 0.0  # same spin on both sides of the tie
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -154,16 +165,14 @@ def test_triplet_cone_is_exact():
 def test_triplet_region_has_unique_triplet_ground(a12, depth):
     # the cone a13 < min(-2*a12, 7*a12) keeps triplet3 strictly lowest
     a13 = min(-2.0 * a12, 7.0 * a12) - depth
-    point = classify_ground(a12, a13)
-    assert point.ground_labels == ("triplet3",)
-    assert point.ground_S == 1.0
+    assert _ground(a12, a13)[:2] == (("triplet3",), 1.0)
 
 
 def test_phase_map_grid_shape_and_validation():
     points = phase_map((0.1, 1.0), (-5.0, -3.0), 4)
     assert len(points) == 16
     single = phase_map((0.3, 0.3), (-4.0, -4.0), 1)
-    assert len(single) == 1 and single[0].a12 == 0.3
+    assert len(single) == 1 and single.a12[0] == 0.3
     with pytest.raises(ConfigError):
         phase_map((1.0, 0.0), (-5.0, -3.0), 4)
     with pytest.raises(ConfigError):
@@ -175,22 +184,26 @@ def test_phase_map_through_exact_ties_matches_pointwise_classification():
     # a12 = a13 diagonal (the two singlets tie)
     points = phase_map((-3.0, 3.0), (-3.0, 3.0), 7)
     grid = [(a12, a13) for a12 in range(-3, 4) for a13 in range(-3, 4)]
-    assert [(pt.a12, pt.a13) for pt in points] == grid
-    for pt in points:
-        assert pt == classify_ground(pt.a12, pt.a13)
-        levelset = levels("parallelogram", pt.a12, pt.a13)
-        assert list(pt.ground_labels) == levelset.ground_labels()
-    table = {(pt.a12, pt.a13): pt for pt in points}
-    assert len(table[0.0, 0.0].ground_labels) == 6
-    assert table[0.0, 0.0].ground_S == "degenerate-mixed"
-    assert table[2.0, 2.0].ground_labels == ("singlet_plus", "singlet_minus")
+    assert list(zip(points.a12, points.a13)) == grid
+    table = {}
+    for a12, a13, pattern, energy in zip(points.a12, points.a13, points.pattern,
+                                         points.ground_energy):
+        table[a12, a13] = (*points.summaries[pattern], energy)
+        assert table[a12, a13] == _ground(a12, a13)
+        levelset = levels("parallelogram", a12, a13)
+        assert list(table[a12, a13][0]) == levelset.ground_labels()
+    assert len(table[0.0, 0.0][0]) == 6
+    assert table[0.0, 0.0][1] == "degenerate-mixed"
+    assert table[2.0, 2.0][0] == ("singlet_plus", "singlet_minus")
 
 
 def test_ordering_claim_is_reported_not_asserted():
-    report = ordering_report(1.0, -3.0)
-    assert report["actual_order"][0] == "triplet3"
-    assert report["chain_holds"] is False
-    failing = [link["claim"] for link in report["links"] if not link["holds"]]
+    energies = {lev.label: lev.energy
+                for lev in levels("parallelogram", 1.0, -3.0).levels}
+    assert min(energies, key=energies.get) == "triplet3"
+    failing = [f"{lo} < {hi}"
+               for lo, hi in zip(CLAIMED_ORDER_CHAIN[:-1], CLAIMED_ORDER_CHAIN[1:])
+               if not energies[lo] < energies[hi]]
     # the last two claimed inequalities are the inconsistent ones
     assert "quintet < singlet_minus" in failing or "singlet_minus < triplet1" in failing
     # link k holds where its gap L_k is negative on (a12, a13); as

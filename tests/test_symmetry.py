@@ -22,7 +22,6 @@ from spincluster.symmetry import (
     family_projection_residual,
     has_real_mixing_angle,
     heisenberg_hamiltonian,
-    mixing_angle_report,
     mixing_relation_residual,
     numeric_degenerate_block,
     pair_order,
@@ -177,7 +176,6 @@ def test_near_equal_edges_follow_one_root_rule():
     member = constrained_couplings_parallelogram(p, q, (2.0 * p + 6.0 * q) / 8.0)
     assert has_real_mixing_angle(member)
     assert extract_mixing_theta(R4, member) == 0.0
-    assert mixing_angle_report(R4, member)["relation_theta"] == 0.0
 
 
 def test_diagonalizing_theta_kills_offdiagonal():
@@ -185,9 +183,6 @@ def test_diagonalizing_theta_kills_offdiagonal():
     theta = diagonalizing_theta(R4, member)
     assert abs(rotated_offdiagonal(member, theta)) < 1e-12
     assert -math.pi / 2 < theta <= math.pi / 2
-    report = mixing_angle_report(R4, member)
-    assert report["has_real_root"]
-    assert report["relation_theta"] == pytest.approx(-0.22725609881269834)
 
 
 def test_membership_guard_rejects_outsiders():

@@ -14,7 +14,12 @@ from hypothesis.extra.numpy import arrays
 
 from spincluster import yangian
 from spincluster.errors import ConfigError
-from spincluster.operators import SpinRegister, total_spin
+from spincluster.operators import (
+    HERMITICITY_ATOL,
+    SpinRegister,
+    hermiticity_defect,
+    total_spin,
+)
 from spincluster.yangian import (
     ACTION_ATOL,
     EXPANSION_ATOL,
@@ -24,17 +29,14 @@ from spincluster.yangian import (
     build_yangian,
     check_yangian_axioms,
     expanded_q,
-    hermiticity_defect,
     hermitian_q,
     numeric_action_block,
     q_hermiticity_condition,
     q_joint_labels,
     q_spectrum,
     triple_prefactors,
-    verbatim_action_discrepancies,
 )
 
-HERM_ATOL = 1e-10
 WEIGHTS = st.floats(min_value=-3.0, max_value=3.0,
                     allow_nan=False, allow_infinity=False)
 
@@ -98,11 +100,10 @@ def test_hermiticity_condition_three_sites_is_a_plane():
 @settings(max_examples=30, deadline=None)
 @given(_weights_array(3))
 def test_hermiticity_defect_tracks_triple_prefactors(u):
-    register = SpinRegister(3)
-    defect = hermiticity_defect(register, u)
+    defect, _ = hermiticity_defect(build_q(SpinRegister(3), u))
     prefactor = abs(u[0] - u[1] + u[2])
     if prefactor < 1e-12:
-        assert defect < HERM_ATOL
+        assert defect < HERMITICITY_ATOL
     else:
         assert defect > prefactor * 1e-3
 
@@ -254,14 +255,22 @@ def test_action_block_zero_weights_doublet():
     assert np.max(np.abs(blocks["doublet"] - target)) < 1e-14
 
 
+def _verbatim_gaps(n_sites, weights):
+    """Entrywise max |derived - paper_verbatim| per sector."""
+    derived = action_blocks(n_sites, weights)
+    verbatim = action_blocks(n_sites, weights, mode="paper_verbatim")
+    return {name: np.max(np.abs(block - verbatim[name]))
+            for name, block in derived.items()}
+
+
 def test_verbatim_mode_coincides_at_zero_weights():
     for n_sites in (3, 4):
-        gaps = verbatim_action_discrepancies(n_sites, np.zeros(n_sites))
+        gaps = _verbatim_gaps(n_sites, np.zeros(n_sites))
         assert max(gaps.values()) < 1e-14
 
 
 def test_verbatim_mode_differs_off_diagonally():
-    gaps = verbatim_action_discrepancies(3, [0.7, 0.2, -0.4])
+    gaps = _verbatim_gaps(3, [0.7, 0.2, -0.4])
     assert gaps["doublet"] > 1e-3      # transposed coupling reading
     assert gaps["quartet"] < 1e-14     # diagonal entries agree
 
