@@ -110,14 +110,16 @@ def _as_float(value):
 
 def transition_rate(A: float, inv_temp: float, delta):
     """One-phonon rate A*delta^3/(1-exp(-inv_temp*delta)), elementwise
-    for an array delta; W(0)=0, and W=0 below the exp underflow."""
+    for an array delta; its limit A*delta^2/inv_temp where inv_temp*delta
+    underflows to 0 (so W(0)=0), and W=0 below the exp underflow."""
     if A <= 0 or inv_temp <= 0:
         raise ConfigError("transition_rate needs A > 0 and inv_temp > 0")
     delta = np.asarray(delta, dtype=float)
     t = inv_temp * delta
     with np.errstate(all="ignore"):  # dead entries (0/0, overflow) masked below
-        rate = -A * delta * delta * delta / np.expm1(-t)
-    return _as_float(np.where((delta == 0.0) | (t < _EXP_UNDERFLOW), 0.0, rate))
+        rate = np.where(t == 0.0, A * delta * (delta / inv_temp),
+                        -A * delta * delta * delta / np.expm1(-t))
+    return _as_float(np.where(t < _EXP_UNDERFLOW, 0.0, rate))
 
 
 def level_transition_rates(scale, params: RateParams) -> dict:
@@ -225,17 +227,47 @@ def _initial_state(init, scale0: float, params: RateParams):
     return n0, rho00
 
 
-def _reduced_derivative(c: tuple, n: float, rho00: float):
-    """d/dt (n, rho00), n = -x, under coefficients c = (C1, ..., F)."""
-    c1, c2, c3, c4, e, f = c
-    return c1 * n - c2 * rho00 - e, -c3 * n + c4 * rho00 + f
+def _apply(a, b):
+    """The linear part of affine map a applied to affine map b, each stored
+    as the six component rows (M00, M01, M10, M11, v0, v1), elementwise."""
+    a00, a01, a10, a11 = a[:4]
+    b00, b01, b10, b11, w0, w1 = b
+    return np.array([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11,
+                     a00 * w0 + a01 * w1, a10 * w0 + a11 * w1])
+
+
+def _rk4_step_maps(d_node, d_half, h: float):
+    """Each RK4 step as y_{i+1} = y_i + D_i·y_i + v_i, rows (D, v), from the
+    derivative maps at the nodes (one more than steps) and half-nodes.
+    Keeping the identity out keeps D's digits when h·D is small."""
+    k1 = d_node[:, :-1]
+    k2 = d_half + 0.5 * h * _apply(d_half, k1)
+    k3 = d_half + 0.5 * h * _apply(d_half, k2)
+    k4 = d_node[:, 1:] + h * _apply(d_node[:, 1:], k3)
+    return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _check_populations(t, n, rho00):
+    """Raise at the first state outside the population window (or NaN)."""
+    pops = np.array([0.5 * (1.0 - rho00 - n), rho00, 0.5 * (1.0 - rho00 + n)])
+    inside = np.all((pops >= -POPULATION_WINDOW)
+                    & (pops <= 1.0 + POPULATION_WINDOW), axis=0)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise NumericalCheckError(
+            f"populations left [0, 1] (window {POPULATION_WINDOW}) at t = "
+            f"{t[i]:.6g}: ({pops[0, i]:.3e}, {pops[1, i]:.3e}, "
+            f"{pops[2, i]:.3e}); increase n_steps")
 
 
 def integrate_magnetization(params: RateParams, profile: FieldProfile,
                             init="equilibrium", n_steps: int = 2000,
                             lzs_mode: str = "off",
                             coeff_mode: str = "derived") -> Trajectory:
-    """Fixed-step RK4 trajectory of (n, rho00) under the swept field."""
+    """Fixed-step RK4 trajectory of (n, rho00) under the swept field: the
+    affine maps of ``_COEFF_BLOCK`` steps at a time are composed by
+    Hillis-Steele doubling and applied to the state carried into the block."""
     if n_steps < 10:
         raise ConfigError("n_steps must be at least 10")
     if lzs_mode not in LZS_MODES:
@@ -249,56 +281,43 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
     def level_scale(b):
         return np.hypot(gamma * b, gap) if adiabatic else gamma * b
 
-    def coefficients(b):
-        """(C1, ..., F) at each field of the array b, as float tuples."""
+    def derivative(b):
+        """d/dt (n, rho00) = [[C1, -C2], [-C3, C4]]·(n, rho00) + (-E, F),
+        n = -x, as affine-map rows at each field of the array b."""
         c = rate_matrix_coefficients(
             level_transition_rates(level_scale(b), params), coeff_mode)
-        return list(zip(*(v.tolist() for v in c)))
+        return np.array([c.C1, -c.C2, -c.C3, c.C4, -c.E, c.F])
 
     h = (profile.t_end - profile.t_start) / n_steps
     t_nodes = profile.t_start + h * np.arange(n_steps + 1)
     b_nodes = profile.field(t_nodes)
-    n_now, rho_now = _initial_state(init, level_scale(b_nodes[0]), params)
-
-    n_out = np.empty(n_steps + 1)
-    rho_out = np.empty(n_steps + 1)
-    lo, hi = -POPULATION_WINDOW, 1.0 + POPULATION_WINDOW
-    for i in range(n_steps + 1):
-        n_out[i] = n_now
-        rho_out[i] = rho_now
-        plus = 0.5 * (1.0 - rho_now - n_now)
-        minus = 0.5 * (1.0 - rho_now + n_now)
-        if not (lo <= plus <= hi and lo <= rho_now <= hi and lo <= minus <= hi):
+    b_half = profile.field(t_nodes[:-1] + 0.5 * h)
+    y = np.empty((2, n_steps + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # gated below
+        b_peak = max(b_nodes.min(), b_nodes.max(), b_half.min(),
+                     b_half.max(), key=abs)
+        if not np.isfinite(derivative(np.array([b_peak]))).all():
             raise NumericalCheckError(
-                f"populations left [0, 1] (window {POPULATION_WINDOW}) at "
-                f"t = {t_nodes[i]:.6g}: ({plus:.3e}, {rho_now:.3e}, "
-                f"{minus:.3e}); increase n_steps")
-        if i == n_steps:
-            break
-        j = i % _COEFF_BLOCK
-        if j == 0:
-            stop = min(i + _COEFF_BLOCK, n_steps)
-            at_node = coefficients(b_nodes[i:stop + 1])
-            at_half = coefficients(profile.field(t_nodes[i:stop] + 0.5 * h))
-        k1n, k1r = _reduced_derivative(at_node[j], n_now, rho_now)
-        k2n, k2r = _reduced_derivative(at_half[j], n_now + 0.5 * h * k1n,
-                                       rho_now + 0.5 * h * k1r)
-        k3n, k3r = _reduced_derivative(at_half[j], n_now + 0.5 * h * k2n,
-                                       rho_now + 0.5 * h * k2r)
-        k4n, k4r = _reduced_derivative(at_node[j + 1], n_now + h * k3n,
-                                       rho_now + h * k3r)
-        n_now += (h / 6.0) * (k1n + 2.0 * (k2n + k3n) + k4n)
-        rho_now += (h / 6.0) * (k1r + 2.0 * (k2r + k3r) + k4r)
+                f"transition rates are not finite at B = {b_peak:.6g}")
+        y[:, 0] = _initial_state(init, level_scale(b_nodes[0]), params)
+        for start in range(0, n_steps, _COEFF_BLOCK):
+            stop = min(start + _COEFF_BLOCK, n_steps)
+            maps = _rk4_step_maps(derivative(b_nodes[start:stop + 1]),
+                                  derivative(b_half[start:stop]), h)
+            for shift in (2 ** k for k in range((stop - start - 1).bit_length())):
+                later, earlier = maps[:, shift:], maps[:, :-shift]
+                maps[:, shift:] = later + earlier + _apply(later, earlier)
+            (d00, d01, d10, d11, v0, v1), (n0, rho0) = maps, y[:, start]
+            y[:, start + 1:stop + 1] = (n0 + (d00 * n0 + d01 * rho0 + v0),
+                                        rho0 + (d10 * n0 + d11 * rho0 + v1))
+            _check_populations(t_nodes[start:stop + 1], *y[:, start:stop + 1])
 
-    if adiabatic:
+    m_norm = y[0].copy()
+    if adiabatic:  # times cos(beta)
         omega = level_scale(b_nodes)
-        cos_beta = np.where(omega > 0.0, gamma * b_nodes / np.where(
+        m_norm *= np.where(omega > 0.0, gamma * b_nodes / np.where(
             omega > 0.0, omega, 1.0), 0.0)
-        m_norm = cos_beta * n_out
-    else:
-        m_norm = n_out.copy()
-    return Trajectory(t=t_nodes, B=b_nodes, M_norm=m_norm,
-                      rho00=rho_out, n=n_out)
+    return Trajectory(t=t_nodes, B=b_nodes, M_norm=m_norm, rho00=y[1], n=y[0])
 
 
 def enclosed_area(traj: Trajectory, t_start: float = None,

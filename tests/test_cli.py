@@ -10,12 +10,15 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from spincluster.cli import main
+from spincluster.dynamics import FieldProfile, RateParams
 from spincluster.spectra import FAMILIES
+from test_dynamics import SCAN_ATOL, rk4_oracle
 
 # main runs its handler with numpy warnings off; none may leak to stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -371,6 +374,16 @@ def test_simulate_stiff_run_exits_three():
     assert "numerical check failed" in err
 
 
+def test_simulate_overflowing_rates_do_not_ask_for_steps(tmp_path):
+    # no step count helps: the rates overflow at this field
+    path = write_cfg(tmp_path, {"field": {"kind": "constant",
+                                          "amplitude": 1e200}})
+    code, out, err = run("simulate", path)
+    assert (code, out) == (3, "")
+    assert err == ("numerical check failed: transition rates are not "
+                   "finite at B = 1e+200\n")
+
+
 def test_simulate_mode_flag_changes_output(tmp_path):
     cfg = {"field": {"kind": "constant", "amplitude": 0.4, "t_end": 5.0},
            "init": "polarized_up", "n_steps": 200}
@@ -406,6 +419,9 @@ def test_levels_report_csv(tmp_path):
 # before all three shared one.  Both larger cases cross the 4096-record
 # block of the writer, and the phase map holds the six-way tie at the
 # origin, the singlet ties on the diagonal and degenerate-mixed rows.
+# The simulate digest covers its t,B columns only: the integrator composes
+# its steps in a prefix scan, so M_norm,rho00,n are bounded against the
+# step loop instead (SCAN_ATOL), across the 4096-step block edge.
 @pytest.mark.parametrize("command, payload, digest", [
     pytest.param(
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,
@@ -425,13 +441,28 @@ def test_levels_report_csv(tmp_path):
     pytest.param(
         "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,
                                "t_end": 6.283185307179586}, "n_steps": 5000},
-        "ca964970a7d482ea98433a94166f03cc5c7c449b91936881a62d6607467f73e3",
+        "2f8674bc4a47e316c1bf465fb5e3d609da5729825e22d9abf9d1276d128fdf75",
         id="simulate-5000"),
 ])
 def test_csv_bytes_are_pinned(tmp_path, command, payload, digest):
     code, out, _ = run(command, write_cfg(tmp_path, payload))
     assert code == 0
+    if command == "simulate":
+        out = _trajectory_against_step_loop(out, payload)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _trajectory_against_step_loop(out, payload):
+    """Bound M_norm,rho00,n of a default-parameter simulate CSV against
+    the step-loop oracle; return the t,B columns as CSV text."""
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0] == ["t", "B", "M_norm", "rho00", "n"]
+    want = rk4_oracle(RateParams(), FieldProfile(**payload["field"]),
+                      n_steps=payload["n_steps"])
+    got = np.array(rows[1:], dtype=float)
+    for k, name in enumerate(("M_norm", "rho00", "n"), start=2):
+        assert np.max(np.abs(got[:, k] - getattr(want, name))) <= SCAN_ATOL
+    return "".join(",".join(row[:2]) + "\n" for row in rows)
 
 
 def test_output_is_deterministic():

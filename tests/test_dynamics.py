@@ -15,7 +15,10 @@ from spincluster import dynamics
 from spincluster.dynamics import (
     COEFF_MODES,
     DETAILED_BALANCE_RTOL,
+    FIELD_KINDS,
     LEVEL_PAIRS,
+    LZS_MODES,
+    POPULATION_WINDOW,
     FieldProfile,
     RateParams,
     RateCoefficients,
@@ -70,6 +73,21 @@ def test_detailed_balance(A, inv_temp, delta):
 
 def test_rate_deep_underflow_is_zero():
     assert transition_rate(1.0, 1.0, -800.0) == 0.0
+
+
+def test_rate_where_the_exponent_underflows_is_its_limit():
+    # inv_temp * delta rounds to 0 while delta does not: the rate is its
+    # limit A * delta^2 / inv_temp, where 0/0 used to give NaN
+    assert transition_rate(2.0, 0.3, 5e-324) == 0.0
+    for delta in (1e-30, -1e-30):
+        assert transition_rate(2.0, 1e-300, delta) == pytest.approx(
+            2e240, rel=1e-15, abs=0.0)
+    # a ramp through B = 0 with a subnormal gap: the scale there is 5e-324
+    profile = FieldProfile(kind="linear_ramp", amplitude=0.5, t_end=2.0)
+    traj = integrate_magnetization(RateParams(A=0.1, inv_temp=0.3,
+                                              delta_gap=5e-324), profile,
+                                   n_steps=10, lzs_mode="adiabatic")
+    assert traj.B[5] == 0.0 and np.all(np.isfinite(traj.n))
 
 
 # zero, both signs, tiny, ordinary, large, and both sides of the
@@ -229,9 +247,187 @@ def test_integrator_validates_arguments():
         integrate_magnetization(params, profile, init=(1.5, 0.9))
 
 
+# the scan overflows inside the block that leaves the window; no
+# RuntimeWarning may reach a library caller
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stiff_drive_fails_loudly_and_asks_for_steps():
     with pytest.raises(NumericalCheckError, match="n_steps"):
         integrate_magnetization(RateParams(), FieldProfile(), n_steps=3000)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_scan_is_refused():
+    # far too stiff for its steps and starting on its fixed point: the
+    # composed step maps overflow, and the gate counts NaN as outside
+    profile = FieldProfile(kind="constant", amplitude=100.0)
+    with pytest.raises(NumericalCheckError,
+                       match=r"\(nan, nan, nan\); increase n_steps"):
+        integrate_magnetization(RateParams(), profile)
+
+
+@pytest.mark.parametrize("amplitude", [1e200, -1e200])
+def test_overflowing_rates_name_the_field(amplitude):
+    profile = FieldProfile(kind="constant", amplitude=amplitude)
+    for n_steps in (10, 100000):
+        with pytest.raises(NumericalCheckError) as failure:
+            integrate_magnetization(RateParams(), profile, n_steps=n_steps)
+        assert str(failure.value) == (
+            f"transition rates are not finite at B = {amplitude:.6g}")
+
+
+# --- the block scan against the step loop it replaced ---------------------
+
+def _sweep_coefficients(params, profile, n_steps, lzs_mode, coeff_mode):
+    """h, the nodes, the field at them, and the rows (C1, ..., F) of the
+    reduction at each node and half-node."""
+    gamma, gap = params.gamma, params.delta_gap
+    adiabatic = lzs_mode == "adiabatic"
+
+    def coefficients(b):
+        scale = np.hypot(gamma * b, gap) if adiabatic else gamma * b
+        c = rate_matrix_coefficients(level_transition_rates(scale, params),
+                                     coeff_mode)
+        return np.column_stack(c)
+
+    h = (profile.t_end - profile.t_start) / n_steps
+    t_nodes = profile.t_start + h * np.arange(n_steps + 1)
+    b_nodes = profile.field(t_nodes)
+    return (h, t_nodes, b_nodes, coefficients(b_nodes),
+            coefficients(profile.field(t_nodes[:-1] + 0.5 * h)))
+
+
+def rk4_oracle(params, profile, init="equilibrium", n_steps=2000,
+               lzs_mode="off", coeff_mode="derived"):
+    """integrate_magnetization as the loop over RK4 steps it was before the
+    block scan, gating every state, but with the state carried in
+    np.longdouble (80-bit on x86): a float64 loop drifts by up to
+    n_steps * 2**-53 where the increments are small against the state."""
+    h, t_nodes, b_nodes, at_node, at_half = _sweep_coefficients(
+        params, profile, n_steps, lzs_mode, coeff_mode)
+    at_node, at_half = (c.astype(np.longdouble) for c in (at_node, at_half))
+    h = np.longdouble(h)
+    scale0 = (np.hypot(params.gamma * b_nodes[0], params.delta_gap)
+              if lzs_mode == "adiabatic" else params.gamma * b_nodes[0])
+    n_now, rho_now = (np.longdouble(v) for v in dynamics._initial_state(
+        init, scale0, params))
+
+    def derivative(c, n, rho00):
+        c1, c2, c3, c4, e, f = c
+        return c1 * n - c2 * rho00 - e, -c3 * n + c4 * rho00 + f
+
+    n_out = np.empty(n_steps + 1, dtype=np.longdouble)
+    rho_out = np.empty(n_steps + 1, dtype=np.longdouble)
+    lo, hi = -POPULATION_WINDOW, 1.0 + POPULATION_WINDOW
+    for i in range(n_steps + 1):
+        n_out[i], rho_out[i] = n_now, rho_now
+        plus = 0.5 * (1.0 - rho_now - n_now)
+        minus = 0.5 * (1.0 - rho_now + n_now)
+        if not (lo <= plus <= hi and lo <= rho_now <= hi and lo <= minus <= hi):
+            raise NumericalCheckError(
+                f"populations left [0, 1] (window {POPULATION_WINDOW}) at "
+                f"t = {t_nodes[i]:.6g}: ({float(plus):.3e}, "
+                f"{float(rho_now):.3e}, {float(minus):.3e}); increase n_steps")
+        if i == n_steps:
+            break
+        k1n, k1r = derivative(at_node[i], n_now, rho_now)
+        k2n, k2r = derivative(at_half[i], n_now + 0.5 * h * k1n,
+                              rho_now + 0.5 * h * k1r)
+        k3n, k3r = derivative(at_half[i], n_now + 0.5 * h * k2n,
+                              rho_now + 0.5 * h * k2r)
+        k4n, k4r = derivative(at_node[i + 1], n_now + h * k3n,
+                              rho_now + h * k3r)
+        n_now += (h / 6.0) * (k1n + 2.0 * (k2n + k3n) + k4n)
+        rho_now += (h / 6.0) * (k1r + 2.0 * (k2r + k3r) + k4r)
+    if lzs_mode == "adiabatic":
+        zeeman = params.gamma * b_nodes
+        omega = np.hypot(zeeman, params.delta_gap)
+        cos_beta = np.where(omega > 0.0, zeeman / np.where(
+            omega > 0.0, omega, 1.0), 0.0)
+    else:
+        cos_beta = 1.0
+    return Trajectory(t=t_nodes, B=b_nodes, M_norm=cos_beta * n_out,
+                      rho00=rho_out, n=n_out)
+
+
+def steps_expand(params, profile, n_steps, lzs_mode, coeff_mode) -> bool:
+    """Whether |R(h·lambda)| > 1 for the RK4 stability polynomial R at an
+    eigenvalue lambda of the frozen reduced rate matrix at some node or
+    half-node: a step that stiff, or a printed-variant fixed point outside
+    the simplex, amplifies whatever rounding it is given."""
+    h, _, _, at_node, at_half = _sweep_coefficients(
+        params, profile, n_steps, lzs_mode, coeff_mode)
+    c1, c2, c3, c4, _, _ = np.concatenate([at_node, at_half]).T
+    matrices = np.stack([c1, -c2, -c3, c4], axis=1).reshape(-1, 2, 2)
+    z = h * np.linalg.eigvals(matrices)
+    stability = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    return bool(np.max(np.abs(stability)) > 1.0)
+
+
+SCAN_ATOL = 1e-13
+
+
+def _explicit_init(rho00, tilt):
+    """An (n0, rho00) pair inside the simplex."""
+    return ((1.0 - rho00) * (2.0 * tilt - 1.0), rho00)
+
+
+def _profile(kind, amplitude, angular_rate, t_start, duration):
+    return FieldProfile(kind=kind, amplitude=amplitude,
+                        angular_rate=angular_rate, t_start=t_start,
+                        t_end=t_start + duration)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _outcome(integrate, *args, **options):
+    """The trajectory, or the message of the NumericalCheckError raised."""
+    try:
+        return integrate(*args, **options)
+    except NumericalCheckError as failure:
+        return str(failure)
+
+
+# n_steps on both sides of the _COEFF_BLOCK edges (4096 steps a block).
+# Where no step expands, scan and loop must agree to SCAN_ATOL, or raise
+# the same message.  Where a step expands, each amplifies its own rounding
+# and neither has digits to compare (a state one keeps on a fixed point
+# because every increment rounds away, the other can carry off), so either
+# may refuse where the other returns; the scan keeps to its window.
+@seed(506)
+@settings(max_examples=80, deadline=None)
+@given(st.builds(RateParams,
+                 A=st.floats(min_value=0.01, max_value=3.0),
+                 inv_temp=st.floats(min_value=0.05, max_value=5.0),
+                 gamma=st.floats(min_value=-3.0, max_value=3.0),
+                 delta_gap=st.floats(min_value=0.0, max_value=2.0)),
+       st.builds(_profile, st.sampled_from(FIELD_KINDS),
+                 st.floats(min_value=-10.0, max_value=10.0),
+                 st.floats(min_value=0.1, max_value=3.0),
+                 st.floats(min_value=-5.0, max_value=5.0),
+                 st.floats(min_value=0.1, max_value=20.0)),
+       st.one_of(st.sampled_from(["equilibrium", "polarized_up"]),
+                 st.builds(_explicit_init, UNIT, UNIT)),
+       st.sampled_from(LZS_MODES), st.sampled_from(COEFF_MODES),
+       st.sampled_from([10, 4095, 4096, 4097, 8193]))
+def test_block_scan_matches_step_loop(params, profile, init, lzs_mode,
+                                      coeff_mode, n_steps):
+    options = dict(init=init, n_steps=n_steps, lzs_mode=lzs_mode,
+                   coeff_mode=coeff_mode)
+    want = _outcome(rk4_oracle, params, profile, **options)
+    got = _outcome(integrate_magnetization, params, profile, **options)
+    if isinstance(got, Trajectory):
+        assert got.population_defect() <= POPULATION_WINDOW
+    if steps_expand(params, profile, n_steps, lzs_mode, coeff_mode):
+        return
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.B, want.B)
+    for name in ("n", "rho00", "M_norm"):
+        gap = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+        assert gap <= SCAN_ATOL, name
 
 
 def test_trajectory_csv_contract():
