@@ -201,7 +201,7 @@ class Trajectory:
         return float(max(np.max(stacked) - 1.0, -np.min(stacked), 0.0))
 
     def to_csv(self) -> str:
-        return csv_text("t,B,M_norm,rho00,n", ",".join(["%.17g"] * 5) + "\n",
+        return csv_text("t,B,M_norm,rho00,n",
                         (self.t, self.B, self.M_norm, self.rho00, self.n))
 
 
@@ -429,11 +429,11 @@ class LevelComparisonReport:
     invariant_pair_max_dev: float
 
     def to_csv(self) -> str:
-        """One row per field point and level; a point's nine rows are one
-        record, with the level index written into the template."""
-        point = "".join(f"%.17g,{k},%.17g,%.17g,%.17g\n" for k in range(9))
-        return csv_text("B,level,numeric,printed,corrected", point, (
-            self.b_grid[:, None], self.numeric, self.printed, self.corrected))
+        """One row per field point and level; the level index is a float
+        column, so 0.0 ... 8.0 print as 0 ... 8."""
+        return csv_text("B,level,numeric,printed,corrected", (
+            np.repeat(self.b_grid, 9), np.tile(np.arange(9.0), len(self.b_grid)),
+            self.numeric.ravel(), self.printed.ravel(), self.corrected.ravel()))
 
 
 def _check_nine_levels(b_grid, evals, omega, delta_gap):

@@ -33,10 +33,16 @@ DEFAULT_TIE_RTOL = 1e-9
 def _term(c, x):
     """c*x for a Fraction c, rounded as the formula is written by hand: a
     power-of-two denominator makes float(c) exact, otherwise the numerator
-    multiplies before the denominator divides."""
+    multiplies before the denominator divides, unless only that overflows."""
     if c.denominator & (c.denominator - 1) == 0:
         return float(c) * x
-    return c.numerator * x / c.denominator
+    with np.errstate(over="ignore"):  # redone below where it overflows
+        term = c.numerator * x / c.denominator
+    if np.all(np.isfinite(term)):
+        return term
+    term = np.where(np.isfinite(term) | ~np.isfinite(x), term,
+                    x / c.denominator * c.numerator)
+    return term if term.ndim else float(term)
 
 
 def level_energy(row: LevelRow, x, y):
@@ -150,9 +156,8 @@ class PhaseMap:
         """One row per point; the labels and S of a pattern are one cell."""
         cells = np.array([";".join(labels) + "," + (
             spin if isinstance(spin, str) else "%.17g" % spin)
-            for labels, spin in self.summaries], dtype=object)
+            for labels, spin in self.summaries])
         return csv_text("a12,a13,ground_labels,ground_S,ground_energy",
-                        "%.17g,%.17g,%s,%.17g\n",
                         (self.a12, self.a13, cells[self.pattern], self.ground_energy))
 
 

@@ -416,9 +416,10 @@ def test_levels_report_csv(tmp_path):
 # sha256 of stdout of each CSV output.  The levels-report digests were
 # taken from the point-by-point report, before the grid was diagonalized
 # in stacked blocks; the others from the writers that each command had
-# before all three shared one.  Both larger cases cross the 4096-record
-# block of the writer, and the phase map holds the six-way tie at the
-# origin, the singlet ties on the diagonal and degenerate-mixed rows.
+# before all three shared one.  Both larger cases cross the 1024-row blocks
+# and the 4096-row text pieces of the writer, and the phase map holds the
+# six-way tie at the origin, the singlet ties on the diagonal and
+# degenerate-mixed rows.
 # The simulate digest covers its t,B columns only: the integrator composes
 # its steps in a prefix scan, so M_norm,rho00,n are bounded against the
 # step loop instead (SCAN_ATOL), across the 4096-step block edge.

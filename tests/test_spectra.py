@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -65,6 +66,20 @@ def test_parallelogram_example_levels():
     assert table["triplet3"].energy == pytest.approx(-23.0 / 6.0)
     assert table["singlet_plus"].energy == pytest.approx(-3.5)
     assert table["singlet_minus"].energy == pytest.approx(4.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a13", [1e308, -1e308])
+def test_levels_are_finite_where_only_a_product_overflows(a13):
+    # 5 * a13 overflows for |a13| > 3.6e307; the term 5 * a13 / 6 does not
+    got = levels("parallelogram", 1.0, a13).levels
+    for row, lev in zip(LEVELS[4], got):
+        exact = row.energy[0] + row.energy[1] * Fraction(a13)
+        assert math.isfinite(lev.energy)
+        assert abs(Fraction(lev.energy) - exact) <= 2 * math.ulp(float(exact))
+    assert [lev.energy for lev in got][::5] == [a13 / 2, -1.5 * a13]
+    arrays = level_energy(LEVELS[4][2], np.array([1.0, 1.0]), np.array([a13, 6.0]))
+    assert arrays[0] == got[2].energy and arrays[1] == -4.666666666666667
 
 
 @seed(301)
