@@ -28,8 +28,7 @@ _FIVE_W = np.array([s - k + 1075 - 128 for k, s in enumerate(_SHIFTS)], np.uint6
 # 0000..9999 as four ASCII bytes (one uint32), and their trailing zeros
 _QUAD = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                              indexing="ij"), axis=-1).reshape(10000, 4)
-_QUAD_ZEROS = np.logical_and.accumulate(_QUAD[:, ::-1] == ord("0"),
-                                        axis=1).sum(axis=1, dtype=np.uint8)
+_QUAD_ZEROS = sum(np.arange(10000) % 10 ** p == 0 for p in range(1, 5)).astype(np.uint8)
 # column -X: the "0.000" prefix of X in [-4, -1] (rows 0-4), or the "e-XX"
 # suffix of X in [-43, -5] (rows 5-8)
 _AFFIXES = np.array(["0." + "0" * (j - 1) if j <= 4 else "\0" * 5 + "e-%02d" % j
