@@ -51,14 +51,14 @@ def ties():
 
 POWERS = [v for k in range(-45, 21) for v in near(10.0 ** k)]
 EDGES = POWERS + ties() + [
-    1e-5, 1e-4, near(1e-5)[2], near(1e-4)[1], 1e15, 1e16, 1e17,
+    1e-5, 1e-4, 1e15, 1e16, 1e17,
     # integers above 2**53: at 17 digits they cannot tie (x >= 10**(16 + j)
     # has ulp above 2**(j - 1), and a tie needs one of exactly that)
     *(float(2 ** 53 + i) for i in range(0, 40, 2)),
     *(float(2 ** p) for p in range(53, 80)),
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
     2.2250738585072014e-308, 2.2250738585072009e-308, 1.7976931348623157e308,
-    1e-43, near(1e-43)[1], 0.5, 123.25, 100.0, 1e14 + 0.125]
+    0.5, 123.25, 100.0]
 
 
 def test_edge_values_are_written_as_oracle():
