@@ -173,6 +173,11 @@ def rate_matrix_coefficients(W: dict, mode: str = "derived") -> RateCoefficients
     )
 
 
+def _populations(n, rho00):
+    """(rho_++, rho_00, rho_--) from (n, rho00), floats or arrays."""
+    return 0.5 * (1.0 - rho00 - n), rho00, 0.5 * (1.0 - rho00 + n)
+
+
 def boltzmann_populations(scale: float, inv_temp: float) -> np.ndarray:
     """Boltzmann populations (p_+, p_0, p_-) over the ladder E_N = scale*N."""
     z = np.array([-inv_temp * scale, 0.0, inv_temp * scale])
@@ -191,9 +196,7 @@ class Trajectory:
 
     def populations(self):
         """(rho_++, rho_00, rho_--) arrays reconstructed from (n, rho00)."""
-        plus = 0.5 * (1.0 - self.rho00 - self.n)
-        minus = 0.5 * (1.0 - self.rho00 + self.n)
-        return plus, self.rho00, minus
+        return _populations(self.n, self.rho00)
 
     def population_defect(self) -> float:
         """Worst excursion of any population outside [0, 1]."""
@@ -219,7 +222,7 @@ def _initial_state(init, scale0: float, params: RateParams):
         n0, rho00 = (float(v) for v in init)
     except (TypeError, ValueError):
         raise ConfigError(f"cannot interpret init {init!r}") from None
-    pops = (0.5 * (1.0 - rho00 - n0), rho00, 0.5 * (1.0 - rho00 + n0))
+    pops = _populations(n0, rho00)
     if not all(-1e-9 <= pop <= 1.0 + 1e-9 for pop in pops):  # NaN fails too
         raise ConfigError(
             f"explicit init (n0={n0}, rho00={rho00}) implies populations "
@@ -250,7 +253,7 @@ def _rk4_step_maps(d_node, d_half, h: float):
 
 def _check_populations(t, n, rho00):
     """Raise at the first state outside the population window (or NaN)."""
-    pops = np.array([0.5 * (1.0 - rho00 - n), rho00, 0.5 * (1.0 - rho00 + n)])
+    pops = np.array(_populations(n, rho00))
     inside = np.all((pops >= -POPULATION_WINDOW)
                     & (pops <= 1.0 + POPULATION_WINDOW), axis=0)
     if not inside.all():
@@ -272,8 +275,6 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
         raise ConfigError("n_steps must be at least 10")
     if lzs_mode not in LZS_MODES:
         raise ConfigError(f"unknown lzs_mode {lzs_mode!r}")
-    if coeff_mode not in COEFF_MODES:
-        raise ConfigError(f"unknown coefficient mode {coeff_mode!r}")
 
     gamma, gap = params.gamma, params.delta_gap
     adiabatic = lzs_mode == "adiabatic"
@@ -392,26 +393,26 @@ def _exact_hypot(b: np.ndarray, delta_gap: float) -> np.ndarray:
     return np.array([math.hypot(value, delta_gap) for value in b.tolist()])
 
 
-def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray,
-                             delta_gap: float, corrected: bool):
-    """Sorted 9-level predictions, one row per effective field in b, where
-    omega is _exact_hypot(b, delta_gap); flag True if a squared level went
-    negative (possible for the uncorrected radical)."""
+def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray, delta_gap: float):
+    """Sorted 9-level predictions of the printed and the corrected radical,
+    one row per effective field in b, where omega is _exact_hypot(b,
+    delta_gap); flag True if a squared printed level went negative."""
     # **4 on numpy scalars: np.power may differ in the last bit, and a
     # float's ** raises OverflowError where a numpy scalar gives inf
     b4 = np.array([value ** 4 for value in b])
-    middle = 30.0 * b * b * (delta_gap * delta_gap if corrected else 1.0)
-    radical = np.sqrt(9.0 * b4 + middle + np.float64(delta_gap) ** 4)
+    middle = 30.0 * b * b  # the corrected reading multiplies it by delta_gap^2
+    radical = np.sqrt([9.0 * b4 + term + np.float64(delta_gap) ** 4
+                       for term in (middle, middle * (delta_gap * delta_gap))])
     base = 5.0 * b * b + 3.0 * delta_gap * delta_gap
     ea_sq = 0.5 * (base + radical)
     eb_sq = 0.5 * (base - radical)
-    imaginary = bool(np.any((eb_sq < 0.0) | (ea_sq < 0.0)))
+    imaginary = bool(np.any((eb_sq[0] < 0.0) | (ea_sq[0] < 0.0)))
     ea = np.sqrt(np.where(ea_sq < 0.0, 0.0, ea_sq))
     eb = np.sqrt(np.where(eb_sq < 0.0, 0.0, eb_sq))
-    zero = np.zeros_like(b)
-    levels = np.sort(np.stack(
-        [zero, zero, zero, omega, -omega, ea, -ea, eb, -eb], axis=1), axis=1)
-    return levels, imaginary
+    zero, omega = np.zeros_like(ea), np.broadcast_to(omega, ea.shape)
+    printed, corrected = np.sort(np.stack(
+        [zero, zero, zero, omega, -omega, ea, -ea, eb, -eb], axis=2), axis=2)
+    return printed, corrected, imaginary
 
 
 @dataclass(frozen=True)
@@ -479,8 +480,7 @@ def coupled_levels_report(B_grid, delta_gap: float,
         numeric[block], _ = checked_eigh(
             coupled_spin1_hamiltonian(b_grid[block], delta_gap, gamma))
     omega = _exact_hypot(b_eff, delta_gap)
-    printed, any_imag = _nine_level_closed_forms(b_eff, omega, delta_gap, False)
-    corrected, _ = _nine_level_closed_forms(b_eff, omega, delta_gap, True)
+    printed, corrected, any_imag = _nine_level_closed_forms(b_eff, omega, delta_gap)
     min_zeros, worst_invariant = _check_nine_levels(b_grid, numeric, omega,
                                                     delta_gap)
     if not (np.isfinite(printed).all() and np.isfinite(corrected).all()):

@@ -134,8 +134,6 @@ def _ladder_up(register: SpinRegister, seed: np.ndarray, S: float) -> dict:
 def multiplet_table(register: SpinRegister) -> tuple:
     """All total-spin multiplets of the register, ladder-consistent in m,
     built once and shared read-only."""
-    if register.n_sites not in _SEEDS:
-        raise ConfigError(f"no multiplet table for n_sites={register.n_sites}")
     table = []
     branch_count: dict = {}
     for S, terms in _SEEDS[register.n_sites]:

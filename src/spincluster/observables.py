@@ -5,6 +5,8 @@ Local moments are reported in units of the Bohr magneton as
 fully "down" site +g/2 with the default g = 2.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ConfigError
@@ -14,19 +16,15 @@ STATE_NORM_ATOL = 1e-10
 DEFAULT_G_FACTOR = 2.0
 
 
-class MomentVector:
+class MomentVector(NamedTuple):
     """Per-site moments plus the g-factor they were computed with."""
 
-    def __init__(self, mu: np.ndarray, g: float):
-        self.mu = np.asarray(mu, dtype=float)
-        self.g = float(g)
+    mu: np.ndarray
+    g: float
 
     @property
     def total(self) -> float:
         return float(np.sum(self.mu))
-
-    def __repr__(self):
-        return f"MomentVector(mu={self.mu!r}, g={self.g})"
 
 
 def _checked_state(register: SpinRegister, state) -> np.ndarray:
@@ -48,4 +46,4 @@ def local_moments(register: SpinRegister, state,
     for k in range(register.n_sites):
         sz = site_spin(register, k).z
         mu[k] = -g * np.real(np.vdot(vec, sz @ vec))
-    return MomentVector(mu, g)
+    return MomentVector(mu, float(g))

@@ -41,9 +41,6 @@ class VectorOperator(NamedTuple):
     def dot(self, other: "VectorOperator") -> np.ndarray:
         return self.x @ other.x + self.y @ other.y + self.z @ other.z
 
-    def __add__(self, other):
-        return VectorOperator(self.x + other.x, self.y + other.y, self.z + other.z)
-
 
 @dataclass(frozen=True)
 class SpinRegister:
@@ -102,10 +99,7 @@ def site_spin(register: SpinRegister, site: int) -> VectorOperator:
 def total_spin(register: SpinRegister) -> VectorOperator:
     """Sum of the site spin vectors."""
     parts = [site_spin(register, k) for k in range(register.n_sites)]
-    tot = parts[0]
-    for p in parts[1:]:
-        tot = tot + p
-    return tot
+    return VectorOperator(*(sum(c[1:], c[0]) for c in zip(*parts)))
 
 
 def casimir(register: SpinRegister) -> np.ndarray:

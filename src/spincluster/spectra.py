@@ -85,7 +85,14 @@ class LevelSet:
         return np.sort(np.array(out))
 
     def weighted_sum(self) -> float:
-        return float(sum(lev.energy * lev.multiplicity for lev in self.levels))
+        """The sum of E*(2S+1); where only the products overflow, the same
+        sum over E/max|E|, scaled back."""
+        total = float(sum(lev.energy * lev.multiplicity for lev in self.levels))
+        peak = float(np.max(np.abs([lev.energy for lev in self.levels])))
+        if np.isfinite(total) or not np.isfinite(peak):
+            return total
+        return peak * float(sum(lev.energy / peak * lev.multiplicity
+                                for lev in self.levels))
 
     def by_label(self) -> dict:
         return {lev.label: lev for lev in self.levels}
@@ -157,7 +164,8 @@ class PhaseMap:
         cells = np.array([";".join(labels) + "," + (
             spin if isinstance(spin, str) else "%.17g" % spin)
             for labels, spin in self.summaries])
-        return csv_text("a12,a13,ground_labels,ground_S,ground_energy",
+        x, y = FAMILIES["parallelogram"].couplings
+        return csv_text(f"{x},{y},ground_labels,ground_S,ground_energy",
                         (self.a12, self.a13, cells[self.pattern], self.ground_energy))
 
 
@@ -169,24 +177,25 @@ def _axis(bounds, n_grid: int) -> np.ndarray:
         raise ConfigError(f"invalid axis range ({lo}, {hi})")
     if n_grid < 1:
         raise ConfigError("grid must have at least one point per axis")
-    if n_grid == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, n_grid)
 
 
 def phase_map(a12_range, a13_range, n_grid: int) -> PhaseMap:
-    """Ground-state classification on a regular coupling grid, a13
-    running fastest."""
+    """Ground-state classification of the parallelogram family on a
+    regular coupling grid, a13 running fastest."""
+    table = LEVELS[FAMILIES["parallelogram"].sites]
     a12, a13 = (axis.ravel() for axis in np.meshgrid(
         _axis(a12_range, n_grid), _axis(a13_range, n_grid), indexing="ij"))
-    energies = np.array([level_energy(row, a12, a13) for row in LEVELS[4]])
+    energies = np.array([level_energy(row, a12, a13) for row in table])
     winners, ground = tied_ground(energies)
-    # each distinct winner pattern is summarized once
-    patterns, which = np.unique(winners, axis=1, return_inverse=True)
+    # each distinct winner pattern is summarized once; its byte code has the
+    # first level as top bit, so codes sort as the boolean columns do
+    _, first, which = np.unique(np.packbits(winners, axis=0)[0],
+                                return_index=True, return_inverse=True)
     summaries = []
-    for pattern in patterns.T:
-        rows = [row for row, won in zip(LEVELS[4], pattern) if won]
+    for pattern in winners[:, first].T:
+        rows = [row for row, won in zip(table, pattern) if won]
         spins = {row.S for row in rows}
         summaries.append((tuple(row.label for row in rows),
                           rows[0].S if len(spins) == 1 else "degenerate-mixed"))
-    return PhaseMap(a12, a13, ground, which.reshape(-1), tuple(summaries))
+    return PhaseMap(a12, a13, ground, which, tuple(summaries))

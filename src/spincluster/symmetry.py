@@ -117,15 +117,9 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFa
         columns.append(commutator(q_matrix, h_ij).ravel())
     m = np.column_stack(columns)
     _, sv, vh = np.linalg.svd(m, full_matrices=False)
-    if sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > COMMUTANT_SVD_RTOL * sv[0]))
+    rank = int(np.sum(sv > COMMUTANT_SVD_RTOL * sv[0]))
     basis = []
-    for row in vh[rank:]:
-        vec = np.real_if_close(row, tol=1000)
-        if np.iscomplexobj(vec):
-            vec = vec.real
+    for vec in vh[rank:].real:
         pivot = int(np.argmax(np.abs(vec)))
         if vec[pivot] < 0:
             vec = -vec

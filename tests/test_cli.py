@@ -334,6 +334,23 @@ def test_non_finite_results_are_numerical_failures(tmp_path, command, payload):
     assert err.startswith("numerical check failed:")
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+@pytest.mark.parametrize("payload", [
+    {"family": "parallelogram", "a12": 1, "a13": 1e308},
+    {"family": "triangle", "J12": 1e308, "J13": -1e308},
+])
+def test_weighted_sum_of_finite_levels_survives_product_overflow(tmp_path, payload):
+    # every level is finite, but E*(2S+1) overflows for the largest ones
+    code, out, err = run("spectrum", write_cfg(tmp_path, payload))
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_reject_constant)
+    peak = max(abs(lev["energy"]) for lev in doc["levels"])
+    assert abs(doc["weighted_sum"]) <= 1e-10 * peak
+
+
 def test_size_beyond_memory_is_a_config_error(tmp_path):
     # numpy refuses the 7.28 TiB axis before allocating any of it
     payload = {"a12_range": [0, 1], "a13_range": [0, 1], "n_grid": 1e12}

@@ -18,6 +18,7 @@ from spincluster.spectra import (
     level_energy,
     levels,
     phase_map,
+    tied_ground,
 )
 
 COUPLING = st.floats(min_value=-6.0, max_value=6.0,
@@ -210,6 +211,24 @@ def test_phase_map_through_exact_ties_matches_pointwise_classification():
     assert len(table[0.0, 0.0][0]) == 6
     assert table[0.0, 0.0][1] == "degenerate-mixed"
     assert table[2.0, 2.0][0] == ("singlet_plus", "singlet_minus")
+
+
+@pytest.mark.parametrize("bounds, n_grid", [((-35.0, 35.0), 71), ((-3.0, 3.0), 7)])
+def test_phase_map_summaries_follow_sorted_winner_columns(bounds, n_grid):
+    # oracle: the distinct winner columns, deduplicated and sorted as
+    # boolean records, each summarized in that order
+    points = phase_map(bounds, bounds, n_grid)
+    energies = [level_energy(row, points.a12, points.a13) for row in LEVELS[4]]
+    patterns, which = np.unique(tied_ground(energies)[0], axis=1,
+                                return_inverse=True)
+    summaries = []
+    for pattern in patterns.T:
+        rows = [row for row, won in zip(LEVELS[4], pattern) if won]
+        spin = rows[0].S if len({row.S for row in rows}) == 1 else "degenerate-mixed"
+        summaries.append((tuple(row.label for row in rows), spin))
+    assert points.summaries == tuple(summaries)
+    assert np.array_equal(points.pattern, which.reshape(-1))
+    assert len(summaries) > 1
 
 
 def test_ordering_claim_is_reported_not_asserted():
