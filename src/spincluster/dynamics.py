@@ -62,7 +62,7 @@ class RateParams:
         for name in ("A", "inv_temp", "gamma", "delta_gap"):
             value = getattr(self, name)
             if not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value:.6g}")
         if self.A <= 0:
             raise ConfigError("phonon prefactor A must be positive")
         if self.inv_temp <= 0:
@@ -430,10 +430,11 @@ class LevelComparisonReport:
     invariant_pair_max_dev: float
 
     def to_csv(self) -> str:
-        """One row per field point and level; the level index is a float
-        column, so 0.0 ... 8.0 print as 0 ... 8."""
+        """One row per field point and level; each field and the level
+        indices, floats 0.0 ... 8.0 that print as 0 ... 8, are encoded once."""
+        point, level = np.divmod(np.arange(self.numeric.size), 9)
         return csv_text("B,level,numeric,printed,corrected", (
-            np.repeat(self.b_grid, 9), np.tile(np.arange(9.0), len(self.b_grid)),
+            (self.b_grid, point), (np.arange(9.0), level),
             self.numeric.ravel(), self.printed.ravel(), self.corrected.ravel()))
 
 

@@ -145,19 +145,20 @@ def closed_form_defect(family: str, x: float, y: float) -> float:
 
 @dataclass(frozen=True)
 class PhaseMap:
-    """Ground-state classification as columns over points (a12, a13);
-    ``pattern`` indexes the per-pattern (ground_labels, ground_S)
-    ``summaries``, where ground_S is a half-integer, or "degenerate-mixed"
-    when levels of different spin tie."""
+    """Ground-state classification as columns over the points (a12, a13) of
+    the grid a12_axis x a13_axis, a13 running fastest; ``pattern`` indexes
+    the per-pattern (ground_labels, ground_S) ``summaries``, where ground_S
+    is a half-integer, or "degenerate-mixed" when levels of different spin
+    tie."""
 
-    a12: np.ndarray
-    a13: np.ndarray
+    a12_axis: np.ndarray
+    a13_axis: np.ndarray
     ground_energy: np.ndarray
     pattern: np.ndarray
     summaries: tuple
 
     def __len__(self) -> int:
-        return self.a12.size
+        return self.ground_energy.size
 
     def to_csv(self) -> str:
         """One row per point; the labels and S of a pattern are one cell."""
@@ -165,8 +166,10 @@ class PhaseMap:
             spin if isinstance(spin, str) else "%.17g" % spin)
             for labels, spin in self.summaries])
         x, y = FAMILIES["parallelogram"].couplings
+        i12, i13 = np.divmod(np.arange(len(self)), self.a13_axis.size)
         return csv_text(f"{x},{y},ground_labels,ground_S,ground_energy",
-                        (self.a12, self.a13, cells[self.pattern], self.ground_energy))
+                        ((self.a12_axis, i12), (self.a13_axis, i13),
+                         (cells, self.pattern), self.ground_energy))
 
 
 def _axis(bounds, n_grid: int) -> np.ndarray:
@@ -184,8 +187,8 @@ def phase_map(a12_range, a13_range, n_grid: int) -> PhaseMap:
     """Ground-state classification of the parallelogram family on a
     regular coupling grid, a13 running fastest."""
     table = LEVELS[FAMILIES["parallelogram"].sites]
-    a12, a13 = (axis.ravel() for axis in np.meshgrid(
-        _axis(a12_range, n_grid), _axis(a13_range, n_grid), indexing="ij"))
+    axes = _axis(a12_range, n_grid), _axis(a13_range, n_grid)
+    a12, a13 = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
     energies = np.array([level_energy(row, a12, a13) for row in table])
     winners, ground = tied_ground(energies)
     # each distinct winner pattern is summarized once; its byte code has the
@@ -198,4 +201,4 @@ def phase_map(a12_range, a13_range, n_grid: int) -> PhaseMap:
         spins = {row.S for row in rows}
         summaries.append((tuple(row.label for row in rows),
                           rows[0].S if len(spins) == 1 else "degenerate-mixed"))
-    return PhaseMap(a12, a13, ground, which, tuple(summaries))
+    return PhaseMap(*axes, ground, which, tuple(summaries))

@@ -61,16 +61,6 @@ class CouplingSet:
     def vector(self) -> np.ndarray:
         return np.array([self.a[p] for p in pair_order(self.n_sites)])
 
-    @classmethod
-    def from_vector(cls, n_sites: int, vec) -> "CouplingSet":
-        vec = np.asarray(vec, dtype=float)
-        pairs = pair_order(n_sites)
-        if vec.shape != (len(pairs),):
-            raise ConfigError(
-                f"expected {len(pairs)} couplings, got shape {vec.shape}"
-            )
-        return cls(n_sites, dict(zip(pairs, vec)))
-
 
 @dataclass(frozen=True)
 class CouplingFamily:
@@ -123,7 +113,7 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFa
         pivot = int(np.argmax(np.abs(vec)))
         if vec[pivot] < 0:
             vec = -vec
-        basis.append(CouplingSet.from_vector(register.n_sites, vec))
+        basis.append(CouplingSet(register.n_sites, dict(zip(pairs, vec))))
     return CouplingFamily(basis=basis, dimension=len(basis),
                           singular_values=sv)
 

@@ -8,8 +8,8 @@ off go through ``%``, in one batch per block."""
 
 import numpy as np
 
-_BLOCK = 1024  # rows formatted at a time; bounds the memory of one block
-_PIECE_BLOCKS = 4  # blocks per piece of the text; see csv_text
+_BLOCK = 1024  # rows of five float columns formatted at a time; bounds memory
+_PIECE_BLOCKS = 4  # such blocks per piece of the text; see csv_text
 
 # A float field is NUL-padded: the sign, the "0.000" prefix, 18 slots for
 # 17 digits and the decimal point, and the "e-XX" suffix.
@@ -120,38 +120,52 @@ def _float_fields(x):
     return out
 
 
+def _gathered(column):
+    """(fields, per_row): a float array as (None, its values); any other
+    column as the (width, values) NUL-padded bytes of its values, each
+    encoded once, and the index of each row's value."""
+    values, index = column if isinstance(column, tuple) else (column, None)
+    values = np.asarray(values)
+    if values.dtype.kind in "SU":
+        fields = values.astype("S")[:, None].view(np.uint8).T
+        return fields, np.arange(len(values)) if index is None else np.asarray(index)
+    values = values.astype(float, copy=False)
+    return (None, values) if index is None else (_float_fields(values), np.asarray(index))
+
+
 def csv_text(header: str, columns) -> str:
-    """The header line, then row i of the columns joined by ``,``: a float
-    column written as ``"%.17g" % v``, a string column verbatim.  At least
-    one column is a float column."""
-    # a string column as rows of its NUL-padded bytes
-    columns = [column.astype("S")[:, None].view(np.uint8)
-               if column.dtype.kind in "SU" else column.astype(float, copy=False)
-               for column in map(np.asarray, columns)]
-    widths = [column.shape[1] if column.ndim == 2 else _WIDTH for column in columns]
+    """The header line, then row i of the columns joined by ``,``.  A column
+    is a float array, written as ``"%.17g" % v``; a string array, written
+    verbatim; or a pair ``(values, index)`` of floats or strings, whose row
+    i is ``values[index[i]]``.  A block of rows formats about 5 * _BLOCK
+    floats of the float arrays in one pass and gathers the other fields."""
+    columns = [_gathered(column) for column in columns]
+    widths = [_WIDTH if fields is None else len(fields) for fields, _ in columns]
     ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators
-    # ~400 kB pieces, gathered in one reused buffer: smaller or newly
-    # allocated ones fragment the heap, and some runs then peak higher by
-    # the size of the text
+    rows = 5 * _BLOCK // max(1, sum(fields is None for fields, _ in columns))
+    count = len(columns[0][1])
+    # pieces of about 600 kB and at least one block, gathered in one reused
+    # buffer: smaller or newly allocated ones fragment the heap, and some
+    # runs then peak higher by the size of the text
+    per_piece = max(1, _PIECE_BLOCKS * 5 * _BLOCK * (_WIDTH + 1) // (rows * ends[-1]))
     pieces, size = [header + "\n"], 0
-    piece = np.empty(_PIECE_BLOCKS * _BLOCK * ends[-1], np.uint8)
-    for start in range(0, len(columns[0]), _BLOCK):
-        block = [column[start:start + _BLOCK] for column in columns]
-        floats = [values for values in block if values.ndim == 1]
-        fields = iter(np.split(_float_fields(np.concatenate(floats)),
-                               len(floats), axis=1))
+    piece = np.empty(per_piece * rows * ends[-1], np.uint8)
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        floats = [per_row[block] for fields, per_row in columns if fields is None]
+        formatted = iter(np.split(_float_fields(np.concatenate(floats)), len(floats),
+                                  axis=1) if floats else ())
         # field-major: each byte of a field is one contiguous row
-        lines = np.zeros((ends[-1], len(block[0])), np.uint8)
-        for values, width, end in zip(block, widths, ends):
-            lines[end - 1 - width:end - 1] = (
-                values.T if values.ndim == 2 else next(fields))
+        lines = np.zeros((ends[-1], min(rows, count - start)), np.uint8)
+        for (fields, per_row), width, end in zip(columns, widths, ends):
+            lines[end - 1 - width:end - 1] = (next(formatted) if fields is None
+                                              else fields.take(per_row[block], axis=1))
         lines[ends - 1] = ord(",")
         lines[-1] = ord("\n")
         data = lines.T.tobytes().translate(None, b"\0")
         piece[size:size + len(data)] = np.frombuffer(data, np.uint8)
         size += len(data)
-        if start // _BLOCK % _PIECE_BLOCKS == _PIECE_BLOCKS - 1 \
-                or start + _BLOCK >= len(columns[0]):
+        if start // rows % per_piece == per_piece - 1 or start + rows >= count:
             pieces.append(str(piece[:size], "ascii"))
             size = 0
     return "".join(pieces)

@@ -6,6 +6,7 @@ failure).  Assertions use the tolerances stated in the criterion; a
 failing criterion fails its test — nothing here is softened.
 """
 
+import itertools
 import math
 import time
 
@@ -135,7 +136,7 @@ def test_criterion_06_ground_state_over_wedge_grid():
     assert len(grid) == 100 * 100
     # one winner pattern over the whole grid
     assert grid.summaries == ((("triplet3",), 1.0),)
-    points = list(zip(grid.a12.tolist(), grid.a13.tolist()))
+    points = list(itertools.product(grid.a12_axis.tolist(), grid.a13_axis.tolist()))
 
     pair_blocks = [
         symmetry.heisenberg_hamiltonian(R4, {pair: 1.0}).real

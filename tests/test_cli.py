@@ -433,10 +433,14 @@ def test_levels_report_csv(tmp_path):
 # sha256 of stdout of each CSV output.  The levels-report digests were
 # taken from the point-by-point report, before the grid was diagonalized
 # in stacked blocks; the others from the writers that each command had
-# before all three shared one.  Both larger cases cross the 1024-row blocks
-# and the 4096-row text pieces of the writer, and the phase map holds the
-# six-way tie at the origin, the singlet ties on the diagonal and
-# degenerate-mixed rows.
+# before all three shared one, and the 101-point phase map and 400-point
+# levels report from the writer before it indexed their grid columns.  The
+# writer's blocks hold about 5 * 1024 floats of the plain float columns:
+# 1024 rows of simulate, 1706 of levels-report and 5120 of phase-map, and
+# a piece of the text holds 4, 2 and 1 blocks.  simulate-5000 (5001 rows),
+# levels-report-400 (3600) and phase-map-101 (10201) cross both edges.  The
+# phase maps hold the six-way tie at the origin, the singlet ties on the
+# diagonal and degenerate-mixed rows.
 # The simulate digest covers its t,B columns only: the integrator composes
 # its steps in a prefix scan, so M_norm,rho00,n are bounded against the
 # step loop instead (SCAN_ATOL), across the 4096-step block edge.
@@ -456,6 +460,16 @@ def test_levels_report_csv(tmp_path):
                       "n_grid": 71},
         "8f4fa8894f525f6f6086ae2bd36900d86d0acf246986bed6566a2be9f8e429d8",
         id="phase-map-71"),
+    pytest.param(
+        "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
+                      "n_grid": 101},
+        "8558317d3f30cb88e26f4867a695e61c6953ae0104b5dc2267f32e5d33548e58",
+        id="phase-map-101"),
+    pytest.param(
+        "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 400,
+                          "delta_gap": 0.7, "gamma": 1.3},
+        "a46181515e21e171f0c2b4bf3640eb17db5248c1609632958de999a9f74ee358",
+        id="levels-report-400"),
     pytest.param(
         "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,
                                "t_end": 6.283185307179586}, "n_steps": 5000},

@@ -36,6 +36,8 @@ from spincluster.dynamics import (
 )
 from spincluster.errors import ConfigError, NumericalCheckError
 from spincluster.operators import hermitian_eig
+from spincluster.table import csv_text
+from test_table import assert_same_text
 
 RATE = st.floats(min_value=0.0, max_value=50.0,
                  allow_nan=False, allow_infinity=False)
@@ -652,6 +654,18 @@ def test_levels_report_matches_per_point_reference(monkeypatch, grid,
     assert np.array_equal(report.corrected, corrected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(b_range=st.tuples(*[st.floats(-5.0, 5.0)] * 2), n_grid=st.integers(1, 700),
+       delta_gap=st.floats(0.0, 2.0), gamma=st.floats(0.1, 3.0))
+def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
+                                                       delta_gap, gamma):
+    # oracle: every column materialized, one B and one level index per row
+    report = coupled_levels_report(np.linspace(*b_range, n_grid), delta_gap, gamma)
+    assert_same_text(report.to_csv(), csv_text("B,level,numeric,printed,corrected", (
+        np.repeat(report.b_grid, 9), np.tile(np.arange(9.0), n_grid),
+        report.numeric.ravel(), report.printed.ravel(), report.corrected.ravel())))
+
+
 @pytest.mark.parametrize("bound, message", [
     ("LEVEL_ZERO_COUNT_ATOL",
      r"^only 0 zero eigenvalues at B = -2\.5 \(delta_gap = 0\.3\)$"),
@@ -672,6 +686,14 @@ def test_levels_report_gate_fires_in_a_later_block(monkeypatch):
     with pytest.raises(NumericalCheckError,
                        match=r"^level -1e\+30 missing .* at B = 1e\+30:"):
         coupled_levels_report([0.5, 1.0, 1.5, 2.0, 2.5, 1e30, 3.0], 0.2)
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.float64("nan"), "nan"), (np.float64("inf"), "inf"), (-np.float64("inf"), "-inf")])
+def test_rate_params_name_a_numpy_non_finite_value_plainly(value, text):
+    for name in ("A", "inv_temp", "gamma", "delta_gap"):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got {text}$"):
+            RateParams(**{name: value})
 
 
 def test_rate_params_validation():

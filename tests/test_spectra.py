@@ -20,6 +20,8 @@ from spincluster.spectra import (
     phase_map,
     tied_ground,
 )
+from spincluster.table import csv_text
+from test_table import assert_same_text
 
 COUPLING = st.floats(min_value=-6.0, max_value=6.0,
                      allow_nan=False, allow_infinity=False)
@@ -38,6 +40,12 @@ def _gap(lo, hi):
     where this pair has a negative dot product with the couplings."""
     coeffs = {row.label: row.energy for row in LEVELS[4]}
     return tuple(a - b for a, b in zip(coeffs[lo], coeffs[hi]))
+
+
+def _points(grid):
+    """The (a12, a13) of each point of a phase map, a13 running fastest."""
+    return (axis.ravel() for axis in np.meshgrid(grid.a12_axis, grid.a13_axis,
+                                                 indexing="ij"))
 
 
 def _ground(a12, a13):
@@ -188,7 +196,7 @@ def test_phase_map_grid_shape_and_validation():
     points = phase_map((0.1, 1.0), (-5.0, -3.0), 4)
     assert len(points) == 16
     single = phase_map((0.3, 0.3), (-4.0, -4.0), 1)
-    assert len(single) == 1 and single.a12[0] == 0.3
+    assert len(single) == 1 and single.a12_axis[0] == 0.3
     with pytest.raises(ConfigError):
         phase_map((1.0, 0.0), (-5.0, -3.0), 4)
     with pytest.raises(ConfigError):
@@ -200,9 +208,10 @@ def test_phase_map_through_exact_ties_matches_pointwise_classification():
     # a12 = a13 diagonal (the two singlets tie)
     points = phase_map((-3.0, 3.0), (-3.0, 3.0), 7)
     grid = [(a12, a13) for a12 in range(-3, 4) for a13 in range(-3, 4)]
-    assert list(zip(points.a12, points.a13)) == grid
+    a12s, a13s = _points(points)
+    assert list(zip(a12s, a13s)) == grid
     table = {}
-    for a12, a13, pattern, energy in zip(points.a12, points.a13, points.pattern,
+    for a12, a13, pattern, energy in zip(a12s, a13s, points.pattern,
                                          points.ground_energy):
         table[a12, a13] = (*points.summaries[pattern], energy)
         assert table[a12, a13] == _ground(a12, a13)
@@ -218,7 +227,7 @@ def test_phase_map_summaries_follow_sorted_winner_columns(bounds, n_grid):
     # oracle: the distinct winner columns, deduplicated and sorted as
     # boolean records, each summarized in that order
     points = phase_map(bounds, bounds, n_grid)
-    energies = [level_energy(row, points.a12, points.a13) for row in LEVELS[4]]
+    energies = [level_energy(row, *_points(points)) for row in LEVELS[4]]
     patterns, which = np.unique(tied_ground(energies)[0], axis=1,
                                 return_inverse=True)
     summaries = []
@@ -229,6 +238,25 @@ def test_phase_map_summaries_follow_sorted_winner_columns(bounds, n_grid):
     assert points.summaries == tuple(summaries)
     assert np.array_equal(points.pattern, which.reshape(-1))
     assert len(summaries) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(a12_range=st.tuples(COUPLING, COUPLING).map(sorted),
+       a13_range=st.tuples(COUPLING, COUPLING).map(sorted),
+       n_grid=st.integers(1, 80), integral=st.booleans())
+def test_phase_map_csv_equals_materialized_columns(a12_range, a13_range, n_grid,
+                                                   integral):
+    # oracle: every column materialized, one a12, a13 and label cell per
+    # point; integral ranges hit exact ties
+    if integral:
+        a12_range, a13_range = np.round(a12_range), np.round(a13_range)
+    grid = phase_map(a12_range, a13_range, n_grid)
+    cells = np.array([";".join(labels) + "," + (
+        spin if isinstance(spin, str) else "%.17g" % spin)
+        for labels, spin in grid.summaries])
+    assert_same_text(grid.to_csv(), csv_text(
+        "a12,a13,ground_labels,ground_S,ground_energy",
+        (*_points(grid), cells[grid.pattern], grid.ground_energy)))
 
 
 def test_ordering_claim_is_reported_not_asserted():

@@ -103,3 +103,76 @@ def test_in_range_values_take_the_exact_path():
     values = np.exp(rng.uniform(math.log(1e-43), math.log(1e15), 100_000))
     _, _, exact = table._significand(values)
     assert exact.mean() > 0.999
+
+
+# --- indexed columns: (values, index) writes values[index] -----------------
+
+def assert_same_text(got, want):
+    """got == want; a failure names the first line that differs, since
+    pytest's full diff of texts this long runs for minutes."""
+    if got != want:
+        pairs = zip(got.splitlines() + [None], want.splitlines() + [None])
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"texts differ first at line {line}: {a!r} != {b!r}")
+
+
+def assert_indexed_as_oracle(*columns):
+    """csv_text on the columns against the oracle on each pair's
+    materialized ``values[index]``."""
+    materialized = [np.asarray(column[0])[column[1]] if isinstance(column, tuple)
+                    else np.asarray(column) for column in columns]
+    assert_same_text(csv_text("h", columns), oracle("h", materialized))
+
+
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+VALUES = {"edges": st.lists(st.sampled_from(EDGES), min_size=1, max_size=30),
+          "floats": st.lists(st.floats(), min_size=1, max_size=30),
+          "strings": st.lists(TEXT, min_size=1, max_size=8)}
+
+
+@st.composite
+def tables(draw):
+    """One to four columns of one row count: plain floats, plain strings,
+    and (values, index) pairs of edge values, any floats or strings."""
+    rows = draw(st.integers(0, 60))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([*VALUES, "plain", "plain strings"]),
+                              min_size=1, max_size=4)):
+        if kind in VALUES:
+            values = draw(VALUES[kind])
+            index = draw(st.lists(st.integers(0, len(values) - 1),
+                                  min_size=rows, max_size=rows))
+            columns.append((np.array(values), np.array(index, dtype=np.intp)))
+        else:
+            cell = st.floats() if kind == "plain" else TEXT
+            columns.append(np.array(draw(st.lists(cell, min_size=rows, max_size=rows)),
+                                    dtype=float if kind == "plain" else str))
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_indexed_columns_are_written_as_oracle(columns):
+    assert_indexed_as_oracle(*columns)
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_indexed_columns_alone_at_zero_and_one_row(rows):
+    # no plain float column: every field is gathered
+    index = np.zeros(rows, dtype=np.intp)
+    assert_indexed_as_oracle((np.array([-0.0, 1e-300]), index + 1),
+                             (np.array(["x,y", ""]), index))
+
+
+@pytest.mark.parametrize("floats", [1, 3, 5])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (4, 1)])
+def test_indexed_columns_across_block_edges(floats, blocks, extra):
+    # a block formats about 5 * _BLOCK floats of the plain float columns
+    rows = blocks * (5 * table._BLOCK // floats) + extra
+    rng = np.random.default_rng(rows)
+    plain = [rng.standard_normal(rows) * 10.0 ** rng.integers(-50, 20, rows)
+             for _ in range(floats)]
+    axis = np.array(EDGES)
+    labels = np.array(["a;b,0.5", "c,degenerate-mixed", ""])
+    assert_indexed_as_oracle((axis, rng.integers(0, axis.size, rows)), *plain,
+                             (labels, rng.integers(0, labels.size, rows)))
