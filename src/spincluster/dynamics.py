@@ -30,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
-from .operators import (VectorOperator, checked_eigh, cross_component, read_only,
-                        spin_matrices)
+from .operators import hermiticity_defect, read_only, spin_matrices
 from .table import csv_text
 
 DETAILED_BALANCE_RTOL = 1e-12
@@ -41,7 +40,7 @@ LEVEL_ZERO_COUNT_ATOL = 1e-9
 INVARIANT_LEVEL_ATOL = 1e-9
 _EXP_UNDERFLOW = -700.0
 _COEFF_BLOCK = 4096  # RK4 steps per coefficient evaluation; bounds memory
-_FIELD_BLOCK = 4096  # field points per stacked 9x9 eigh; bounds memory
+_FIELD_BLOCK = 4096  # field points per stacked 9x9 eigvalsh; bounds memory
 
 LEVELS = ("+", "0", "-")
 _N_OF = {"+": 1.0, "0": 0.0, "-": -1.0}
@@ -366,15 +365,24 @@ def lzs_eigenvectors(beta: float) -> np.ndarray:
     return np.column_stack([v_minus, v_zero, v_plus])
 
 
+def _hermitian(matrix):
+    """matrix, past checked_eigh's Hermiticity gate: same bound, same message."""
+    asym, bound = hermiticity_defect(matrix)
+    if not asym <= bound:  # NaN fails too
+        raise NumericalCheckError(
+            f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
+    return matrix
+
+
 @functools.cache
 def _spin1_pair_terms():
-    """The Zeeman sum Lz + Rz and the y-cross term (L x R)_y of two
-    spin-1 moments, as read-only 9x9 matrices, built on first use."""
-    single = spin_matrices(1.0)
+    """The Zeeman sum Lz + Rz and the y-cross term (L x R)_y = Lz Rx - Lx Rz
+    of two spin-1 moments as real read-only 9x9 matrices, gated once: both
+    are exactly symmetric, so every b * Zeeman + delta_gap * cross is too."""
+    sx, _, sz = (op.real for op in spin_matrices(1.0))  # S^y alone is complex
     eye = np.eye(3)
-    left = VectorOperator(*(np.kron(op, eye) for op in single))
-    right = VectorOperator(*(np.kron(eye, op) for op in single))
-    return read_only(left.z + right.z, cross_component(left, right, 1))
+    (lx, rx), (lz, rz) = ((np.kron(op, eye), np.kron(eye, op)) for op in (sx, sz))
+    return read_only(*_hermitian(np.stack([lz + rz, lz @ rx - lx @ rz])))
 
 
 def coupled_spin1_hamiltonian(B, delta_gap: float,
@@ -387,16 +395,10 @@ def coupled_spin1_hamiltonian(B, delta_gap: float,
     return b_eff[..., None, None] * zeeman + delta_gap * cross
 
 
-def _exact_hypot(b: np.ndarray, delta_gap: float) -> np.ndarray:
-    """sqrt(b^2 + delta_gap^2) by math.hypot: np.hypot may take a SIMD
-    path that differs in the last bit."""
-    return np.array([math.hypot(value, delta_gap) for value in b.tolist()])
-
-
 def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray, delta_gap: float):
     """Sorted 9-level predictions of the printed and the corrected radical,
-    one row per effective field in b, where omega is _exact_hypot(b,
-    delta_gap); flag True if a squared printed level went negative."""
+    one row per effective field in b, where omega is hypot(b, delta_gap);
+    flag True if a squared printed level went negative."""
     # **4 on numpy scalars: np.power may differ in the last bit, and a
     # float's ** raises OverflowError where a numpy scalar gives inf
     b4 = np.array([value ** 4 for value in b])
@@ -465,7 +467,7 @@ def coupled_levels_report(B_grid, delta_gap: float,
 
     Asserts only the robust pieces - at least three zero eigenvalues
     and the +-sqrt((gamma*B)^2+delta_gap^2) pair - and reports the rest.
-    The grid is diagonalized ``_FIELD_BLOCK`` points per stacked eigh.
+    Real symmetric, eigenvalues only: ``_FIELD_BLOCK`` points per eigvalsh.
     """
     b_grid = np.asarray(B_grid, dtype=float).reshape(-1)
     if b_grid.size == 0:
@@ -478,9 +480,12 @@ def coupled_levels_report(B_grid, delta_gap: float,
     numeric = np.empty((b_grid.size, 9))
     for start in range(0, b_grid.size, _FIELD_BLOCK):
         block = slice(start, start + _FIELD_BLOCK)
-        numeric[block], _ = checked_eigh(
-            coupled_spin1_hamiltonian(b_grid[block], delta_gap, gamma))
-    omega = _exact_hypot(b_eff, delta_gap)
+        stack = coupled_spin1_hamiltonian(b_grid[block], delta_gap, gamma)
+        if not np.isfinite(stack).all():  # overflowed: its bound is NaN
+            _hermitian(stack)
+        numeric[block] = np.linalg.eigvalsh(stack)
+    # math.hypot: np.hypot may take a SIMD path that differs in the last bit
+    omega = np.array([math.hypot(value, delta_gap) for value in b_eff.tolist()])
     printed, corrected, any_imag = _nine_level_closed_forms(b_eff, omega, delta_gap)
     min_zeros, worst_invariant = _check_nine_levels(b_grid, numeric, omega,
                                                     delta_gap)

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from spincluster.cli import main
 from spincluster.dynamics import FieldProfile, RateParams
 from spincluster.spectra import FAMILIES
-from test_dynamics import SCAN_ATOL, rk4_oracle
+from test_dynamics import (SCAN_ATOL, assert_levels_near_complex_eigh,
+                           complex_eigh_levels, rk4_oracle)
 
 # main runs its handler with numpy warnings off; none may leak to stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -334,6 +335,15 @@ def test_non_finite_results_are_numerical_failures(tmp_path, command, payload):
     assert err.startswith("numerical check failed:")
 
 
+def test_levels_report_overflowing_matrix_fails_the_hermiticity_gate(tmp_path):
+    # 2 * 1.7e308 overflows on the 9x9 diagonal: refused before any solve
+    payload = {"b_min": 1.7e308, "b_max": 1.7e308, "n_grid": 2}
+    code, out, err = run("levels-report", write_cfg(tmp_path, payload))
+    assert (code, out) == (3, "")
+    assert err == ("numerical check failed: matrix is not Hermitian: "
+                   "max |M - M^dag| = nan\n")
+
+
 def _reject_constant(name):
     raise AssertionError(f"{name} in JSON output")
 
@@ -430,60 +440,6 @@ def test_levels_report_csv(tmp_path):
     assert len(lines) == 1 + 3 * 9
 
 
-# sha256 of stdout of each CSV output.  The levels-report digests were
-# taken from the point-by-point report, before the grid was diagonalized
-# in stacked blocks; the others from the writers that each command had
-# before all three shared one, and the 101-point phase map and 400-point
-# levels report from the writer before it indexed their grid columns.  The
-# writer's blocks hold about 5 * 1024 floats of the plain float columns:
-# 1024 rows of simulate, 1706 of levels-report and 5120 of phase-map, and
-# a piece of the text holds 4, 2 and 1 blocks.  simulate-5000 (5001 rows),
-# levels-report-400 (3600) and phase-map-101 (10201) cross both edges.  The
-# phase maps hold the six-way tie at the origin, the singlet ties on the
-# diagonal and degenerate-mixed rows.
-# The simulate digest covers its t,B columns only: the integrator composes
-# its steps in a prefix scan, so M_norm,rho00,n are bounded against the
-# step loop instead (SCAN_ATOL), across the 4096-step block edge.
-@pytest.mark.parametrize("command, payload, digest", [
-    pytest.param(
-        "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,
-                          "delta_gap": 0.7, "gamma": 1.3},
-        "dbb1015379592747806f7ce573f7e1ce8ab875c2fea9090e17db5c85e40b9ee9",
-        id="levels-report-37"),
-    pytest.param(
-        "levels-report", {"b_min": 1.0, "b_max": -1.0, "n_grid": 5,
-                          "delta_gap": 0.0},
-        "a7014a56277278daa97147e389e0d88674167b954ef3acd4d094a16a7d1e8d73",
-        id="levels-report-5"),
-    pytest.param(
-        "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
-                      "n_grid": 71},
-        "8f4fa8894f525f6f6086ae2bd36900d86d0acf246986bed6566a2be9f8e429d8",
-        id="phase-map-71"),
-    pytest.param(
-        "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
-                      "n_grid": 101},
-        "8558317d3f30cb88e26f4867a695e61c6953ae0104b5dc2267f32e5d33548e58",
-        id="phase-map-101"),
-    pytest.param(
-        "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 400,
-                          "delta_gap": 0.7, "gamma": 1.3},
-        "a46181515e21e171f0c2b4bf3640eb17db5248c1609632958de999a9f74ee358",
-        id="levels-report-400"),
-    pytest.param(
-        "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,
-                               "t_end": 6.283185307179586}, "n_steps": 5000},
-        "2f8674bc4a47e316c1bf465fb5e3d609da5729825e22d9abf9d1276d128fdf75",
-        id="simulate-5000"),
-])
-def test_csv_bytes_are_pinned(tmp_path, command, payload, digest):
-    code, out, _ = run(command, write_cfg(tmp_path, payload))
-    assert code == 0
-    if command == "simulate":
-        out = _trajectory_against_step_loop(out, payload)
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 def _trajectory_against_step_loop(out, payload):
     """Bound M_norm,rho00,n of a default-parameter simulate CSV against
     the step-loop oracle; return the t,B columns as CSV text."""
@@ -495,6 +451,85 @@ def _trajectory_against_step_loop(out, payload):
     for k, name in enumerate(("M_norm", "rho00", "n"), start=2):
         assert np.max(np.abs(got[:, k] - getattr(want, name))) <= SCAN_ATOL
     return "".join(",".join(row[:2]) + "\n" for row in rows)
+
+
+def _levels_against_complex_eigh(out, payload):
+    """Bound the numeric column of a levels-report CSV against complex eigh
+    at each field (LEVELS_RTOL); return the B,level,printed,corrected
+    columns as CSV text, the bytes of ``cut -d, -f1,2,4,5``."""
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0] == ["B", "level", "numeric", "printed", "corrected"]
+    want = complex_eigh_levels(
+        np.linspace(payload["b_min"], payload["b_max"], payload["n_grid"]),
+        payload["delta_gap"], payload["gamma"])
+    got = np.array([row[2] for row in rows[1:]], dtype=float)
+    assert_levels_near_complex_eigh(got.reshape(want.shape), want)
+    return "".join(",".join(row[:2] + row[3:]) + "\n" for row in rows)
+
+
+# sha256 of stdout of each CSV output, or of the columns that its bounding
+# oracle returns.  The levels-report digests were taken from the
+# point-by-point report, before the grid was diagonalized in stacked
+# blocks; the others from the writers that each command had before all
+# three shared one, and the 101-point phase map and 400-point levels report
+# from the writer before it indexed their grid columns.  The writer's
+# blocks hold about 5 * 1024 floats of the plain float columns: 1024 rows
+# of simulate, 1706 of levels-report and 5120 of phase-map, and a piece of
+# the text holds 4, 2 and 1 blocks.  simulate-5000 (5001 rows),
+# levels-report-400 (3600) and phase-map-101 (10201) cross both edges.  The
+# phase maps hold the six-way tie at the origin, the singlet ties on the
+# diagonal and degenerate-mixed rows.
+# The simulate digest covers its t,B columns only: the integrator composes
+# its steps in a prefix scan, so M_norm,rho00,n are bounded against the
+# step loop instead (SCAN_ATOL), across the 4096-step block edge.
+# levels-report-37 and -400 pin their B,level,printed,corrected columns:
+# the real eigvalsh moves the numeric column a few ulps off complex eigh,
+# so it is bounded against that instead (LEVELS_RTOL at each field).
+# levels-report-5 still matches complex eigh to the byte.
+@pytest.mark.parametrize("command, payload, bounded, digest", [
+    pytest.param(
+        "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,
+                          "delta_gap": 0.7, "gamma": 1.3},
+        _levels_against_complex_eigh,
+        "b4f830edda23b1cdfbba1e3e844a814bbed4b48eb3a0507a8974b2c132a59e48",
+        id="levels-report-37"),
+    pytest.param(
+        "levels-report", {"b_min": 1.0, "b_max": -1.0, "n_grid": 5,
+                          "delta_gap": 0.0},
+        None,
+        "a7014a56277278daa97147e389e0d88674167b954ef3acd4d094a16a7d1e8d73",
+        id="levels-report-5"),
+    pytest.param(
+        "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
+                      "n_grid": 71},
+        None,
+        "8f4fa8894f525f6f6086ae2bd36900d86d0acf246986bed6566a2be9f8e429d8",
+        id="phase-map-71"),
+    pytest.param(
+        "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
+                      "n_grid": 101},
+        None,
+        "8558317d3f30cb88e26f4867a695e61c6953ae0104b5dc2267f32e5d33548e58",
+        id="phase-map-101"),
+    pytest.param(
+        "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 400,
+                          "delta_gap": 0.7, "gamma": 1.3},
+        _levels_against_complex_eigh,
+        "ebe6545c467c8bb0adab82cf071c154421217c52fc7cfd790c4ed3e4983bd9f3",
+        id="levels-report-400"),
+    pytest.param(
+        "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,
+                               "t_end": 6.283185307179586}, "n_steps": 5000},
+        _trajectory_against_step_loop,
+        "2f8674bc4a47e316c1bf465fb5e3d609da5729825e22d9abf9d1276d128fdf75",
+        id="simulate-5000"),
+])
+def test_csv_bytes_are_pinned(tmp_path, command, payload, bounded, digest):
+    code, out, _ = run(command, write_cfg(tmp_path, payload))
+    assert code == 0
+    if bounded is not None:
+        out = bounded(out, payload)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_is_deterministic():

@@ -35,7 +35,7 @@ from spincluster.dynamics import (
     transition_rate,
 )
 from spincluster.errors import ConfigError, NumericalCheckError
-from spincluster.operators import hermitian_eig
+from spincluster.operators import VectorOperator, cross_component, spin_matrices
 from spincluster.table import csv_text
 from test_table import assert_same_text
 
@@ -569,6 +569,27 @@ def test_lzs_eigenvectors_diagonalize(B, delta_gap):
 
 # --- coupled 9x9 model ----------------------------------------------------
 
+# the report's real eigenvalues against complex eigh, per field point
+LEVELS_RTOL = 1e-14
+
+
+def complex_eigh_levels(b_grid, delta_gap, gamma):
+    """Sorted 9x9 spectra by complex eigh, one field at a time, of the
+    coupled Hamiltonian built from the complex spin-1 matrices."""
+    single = spin_matrices(1.0)
+    eye = np.eye(3)
+    left = VectorOperator(*(np.kron(op, eye) for op in single))
+    right = VectorOperator(*(np.kron(eye, op) for op in single))
+    zeeman, cross = left.z + right.z, cross_component(left, right, 1)
+    return np.array([np.linalg.eigh(gamma * b * zeeman + delta_gap * cross)[0]
+                     for b in np.asarray(b_grid, dtype=float)])
+
+
+def assert_levels_near_complex_eigh(numeric, want):
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
+    assert np.all(np.max(np.abs(numeric - want), axis=1) <= LEVELS_RTOL * scale)
+
+
 def test_coupled_hamiltonian_zeeman_limit():
     ham = coupled_spin1_hamiltonian(2.0, 0.0, 1.0)
     assert np.max(np.abs(ham - ham.conj().T)) == 0.0
@@ -581,6 +602,36 @@ def test_coupled_hamiltonian_pure_gap():
     levels = np.linalg.eigvalsh(ham)
     expected = [-math.sqrt(2), -1, -1, 0, 0, 0, 1, 1, math.sqrt(2)]
     assert levels == pytest.approx(expected, abs=1e-12)
+
+
+def _exchange_parity():
+    """C = swap * exp(i pi S^z_tot), which maps |m1 m2> to (-1)^(m1 + m2)
+    |m2 m1>; basis index 3 * i1 + i2 with m = 1 - i, so the sign is
+    (-1)^(i1 + i2)."""
+    swap = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
+    return swap @ np.diag([(-1.0) ** (i1 + i2) for i1 in range(3) for i2 in range(3)])
+
+
+@seed(1717)
+@settings(max_examples=80, deadline=None)
+@given(b=st.floats(-1e3, 1e3), delta_gap=st.floats(0.0, 1e2),
+       gamma=st.floats(0.1, 3.0))
+def test_exchange_odd_sector_is_the_three_level_block(b, delta_gap, gamma):
+    # the {V6} -> {V8} analogy: the C = -1 sector of the coupled pair is the
+    # avoided-crossing block, and the three zero levels split 1 + 2
+    if gamma * b == 0.0 and delta_gap == 0.0:
+        return
+    ham = coupled_spin1_hamiltonian(b, delta_gap, gamma)
+    parity = _exchange_parity()
+    assert np.array_equal(parity @ ham, ham @ parity)
+    signs, basis = np.linalg.eigh(parity)
+    assert np.array_equal(np.round(signs), [-1.0] * 3 + [1.0] * 6)
+    odd, even = basis[:, :3], basis[:, 3:]
+    omega = lzs_three_level(gamma * b, delta_gap)[2]
+    tol = 1e-12 * max(1.0, omega[-1])
+    assert np.max(np.abs(np.linalg.eigvalsh(odd.T @ ham @ odd) - omega)) <= tol
+    even_levels = np.sort(np.abs(np.linalg.eigvalsh(even.T @ ham @ even)))
+    assert np.all(even_levels[:2] <= tol)
 
 
 def test_levels_report_asserts_robust_pieces():
@@ -638,18 +689,17 @@ def _closed_forms_reference(b, delta_gap, corrected):
 ])
 def test_levels_report_matches_per_point_reference(monkeypatch, grid,
                                                    delta_gap, gamma):
-    # blocks of 4 points, so most grids span several stacked eigh calls
+    # blocks of 4 points, so most grids span several stacked eigvalsh calls
     monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
     report = coupled_levels_report(grid, delta_gap, gamma)
     b_grid = np.asarray(grid, dtype=float)
-    numeric = [hermitian_eig(coupled_spin1_hamiltonian(b, delta_gap, gamma))
-               .eigenvalues for b in b_grid]
     printed = [_closed_forms_reference(gamma * b, delta_gap, False)
                for b in b_grid]
     corrected = [_closed_forms_reference(gamma * b, delta_gap, True)
                  for b in b_grid]
     assert np.array_equal(report.b_grid, b_grid)
-    assert np.array_equal(report.numeric, numeric)
+    assert_levels_near_complex_eigh(
+        report.numeric, complex_eigh_levels(b_grid, delta_gap, gamma))
     assert np.array_equal(report.printed, printed)
     assert np.array_equal(report.corrected, corrected)
 
@@ -681,10 +731,11 @@ def test_levels_report_gates_name_the_first_field(monkeypatch, bound,
 
 
 def test_levels_report_gate_fires_in_a_later_block(monkeypatch):
-    # at B = 1e30 the +-omega pair is lost to rounding in the 9x9 eigh
+    # at B = 1e30 the three zero levels are lost to rounding in the 9x9
+    # eigvalsh: they come out near 1e13, within 2e30 * machine epsilon
     monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
-    with pytest.raises(NumericalCheckError,
-                       match=r"^level -1e\+30 missing .* at B = 1e\+30:"):
+    with pytest.raises(NumericalCheckError, match=r"^only 0 zero eigenvalues "
+                       r"at B = 1e\+30 \(delta_gap = 0\.2\)$"):
         coupled_levels_report([0.5, 1.0, 1.5, 2.0, 2.5, 1e30, 3.0], 0.2)
 
 

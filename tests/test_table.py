@@ -22,9 +22,18 @@ def oracle(header, columns):
         for row in rows)
 
 
+def assert_same_text(got, want):
+    """got == want; a failure names the first line that differs, since
+    pytest's full diff of texts this long runs for minutes."""
+    if got != want:
+        pairs = zip(got.splitlines() + [None], want.splitlines() + [None])
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"texts differ first at line {line}: {a!r} != {b!r}")
+
+
 def assert_written_as_oracle(*columns):
     columns = [np.asarray(column) for column in columns]
-    assert csv_text("h", columns) == oracle("h", columns)
+    assert_same_text(csv_text("h", columns), oracle("h", columns))
 
 
 def near(x, steps=2):
@@ -106,15 +115,6 @@ def test_in_range_values_take_the_exact_path():
 
 
 # --- indexed columns: (values, index) writes values[index] -----------------
-
-def assert_same_text(got, want):
-    """got == want; a failure names the first line that differs, since
-    pytest's full diff of texts this long runs for minutes."""
-    if got != want:
-        pairs = zip(got.splitlines() + [None], want.splitlines() + [None])
-        line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
-        pytest.fail(f"texts differ first at line {line}: {a!r} != {b!r}")
-
 
 def assert_indexed_as_oracle(*columns):
     """csv_text on the columns against the oracle on each pair's
