@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dynamics, multiplets, observables, spectra, symmetry, yangian
 from .errors import ConfigError, NumericalCheckError
-from .operators import SpinRegister
+from .operators import SpinRegister, multiplicities
 
 _SINUSOID = {"kind": "sinusoid", "amplitude": 10.0, "angular_rate": 1.0,
              "t_start": 0.0}
@@ -141,13 +141,12 @@ def _register_and_weights(cfg):
 
 def _cmd_q_spectrum(cfg) -> str:
     register, weights = _register_and_weights(cfg)
-    spectrum = yangian.q_spectrum(register, weights)
     states = yangian.q_joint_labels(register, weights)
     return _json({
         "sites": register.n_sites,
         "weights": weights,
-        "eigenvalues": [{"value": value, "multiplicity": count}
-                        for value, count in spectrum.multiplicities()],
+        "eigenvalues": [{"value": value, "multiplicity": count} for value, count
+                        in multiplicities(np.sort([st.q for st in states]))],
         "states": [{"S": st.S, "m": st.m, "q": st.q,
                     "degenerate": st.degenerate} for st in states],
     })

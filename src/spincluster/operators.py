@@ -184,8 +184,23 @@ class Spectrum:
     eigenvectors: np.ndarray
     groups: list = field(default_factory=list)
 
-    def multiplicities(self) -> list:
-        return [(float(np.mean(self.eigenvalues[g])), len(g)) for g in self.groups]
+
+def degeneracy_groups(values: np.ndarray) -> list:
+    """Index runs of ascending values whose neighbours lie within
+    DEGENERACY_GTOL * max(1, max |value|) of each other: the one
+    degeneracy rule."""
+    gap = DEGENERACY_GTOL * max(1.0, float(np.max(np.abs(values))))
+    groups, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > gap:
+            groups.append(list(range(start, i)))
+            start = i
+    return groups
+
+
+def multiplicities(values: np.ndarray) -> list:
+    """(mean, count) of each of the :func:`degeneracy_groups` of ascending values."""
+    return [(float(np.mean(values[g])), len(g)) for g in degeneracy_groups(values)]
 
 
 def hermiticity_defect(matrix: np.ndarray) -> tuple:
@@ -197,32 +212,19 @@ def hermiticity_defect(matrix: np.ndarray) -> tuple:
     return float(np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()))), bound
 
 
-def checked_eigh(matrix: np.ndarray):
-    """``np.linalg.eigh`` of the Hermitian part of a matrix, or of a stack
-    of matrices along the leading axes.
-
-    Raises NumericalCheckError when any matrix fails
-    :func:`hermiticity_defect`; the message reports the largest asymmetry.
-    """
+def hermitian(matrix: np.ndarray) -> np.ndarray:
+    """The matrix, or stack of matrices, once it passes the one Hermiticity
+    gate, :func:`hermiticity_defect`; else NumericalCheckError naming the
+    largest asymmetry."""
     asym, bound = hermiticity_defect(matrix)
     if not asym <= bound:  # NaN fails too
         raise NumericalCheckError(
-            f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}"
-        )
-    return np.linalg.eigh((matrix + np.swapaxes(matrix, -1, -2).conj()) / 2)
+            f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
+    return matrix
 
 
 def hermitian_eig(matrix: np.ndarray) -> Spectrum:
-    """Diagonalize a Hermitian matrix and group levels that lie within
-    DEGENERACY_GTOL * max(1, max |eigenvalue|) of their neighbour.
-
-    The Hermiticity gate is that of :func:`checked_eigh`.
-    """
-    vals, vecs = checked_eigh(matrix)
-    gap = DEGENERACY_GTOL * max(1.0, float(np.max(np.abs(vals))))
-    groups, start = [], 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > gap:
-            groups.append(list(range(start, i)))
-            start = i
-    return Spectrum(vals, fix_phase(vecs), groups)
+    """Diagonalize the Hermitian part of a matrix that passes
+    :func:`hermitian`, and group its levels by :func:`degeneracy_groups`."""
+    vals, vecs = np.linalg.eigh((hermitian(matrix) + matrix.conj().T) / 2)
+    return Spectrum(vals, fix_phase(vecs), degeneracy_groups(vals))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .multiplets import mixing_pair
-from .operators import SpinRegister, commutator, hermiticity_defect, site_spin
+from .operators import SpinRegister, commutator, hermitian, site_spin
 from .yangian import build_q
 
 COMMUTANT_SVD_RTOL = 1e-10
@@ -94,11 +94,10 @@ def _as_coupling_set(n_sites: int, couplings) -> CouplingSet:
 
 
 def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFamily:
-    """Nullspace of a |-> [Q, H(a)] over coupling space, via SVD; singular
-    values below COMMUTANT_SVD_RTOL of the largest count as zero."""
-    defect, bound = hermiticity_defect(q_matrix)
-    if not defect <= bound:  # NaN fails too
-        raise ConfigError(f"Q must be Hermitian (defect {defect:.3e})")
+    """Nullspace of a |-> [Q, H(a)] over coupling space, via SVD, for a Q
+    that passes :func:`hermitian`; singular values below COMMUTANT_SVD_RTOL
+    of the largest count as zero."""
+    hermitian(q_matrix)
     pairs = pair_order(register.n_sites)
     spins = [site_spin(register, k) for k in range(register.n_sites)]
     columns = []

@@ -121,24 +121,23 @@ def _float_fields(x):
 
 
 def _gathered(column):
-    """(fields, per_row): a float array as (None, its values); any other
-    column as the (width, values) NUL-padded bytes of its values, each
-    encoded once, and the index of each row's value."""
-    values, index = column if isinstance(column, tuple) else (column, None)
-    values = np.asarray(values)
+    """(fields, per_row): a float array as (None, its values); a pair
+    (values, index) as the (width, values) NUL-padded bytes of its values,
+    each encoded once, and the index of each row's value."""
+    if not isinstance(column, tuple):
+        return None, np.asarray(column).astype(float, copy=False)
+    values, index = np.asarray(column[0]), np.asarray(column[1])
     if values.dtype.kind in "SU":
-        fields = values.astype("S")[:, None].view(np.uint8).T
-        return fields, np.arange(len(values)) if index is None else np.asarray(index)
-    values = values.astype(float, copy=False)
-    return (None, values) if index is None else (_float_fields(values), np.asarray(index))
+        return values.astype("S")[:, None].view(np.uint8).T, index
+    return _float_fields(values.astype(float, copy=False)), index
 
 
 def csv_text(header: str, columns) -> str:
     """The header line, then row i of the columns joined by ``,``.  A column
-    is a float array, written as ``"%.17g" % v``; a string array, written
-    verbatim; or a pair ``(values, index)`` of floats or strings, whose row
-    i is ``values[index[i]]``.  A block of rows formats about 5 * _BLOCK
-    floats of the float arrays in one pass and gathers the other fields."""
+    is a float array, written as ``"%.17g" % v``, or a pair ``(values,
+    index)`` of floats or strings written verbatim, whose row i is
+    ``values[index[i]]``.  A block of rows formats about 5 * _BLOCK floats
+    of the float arrays in one pass and gathers the other fields."""
     columns = [_gathered(column) for column in columns]
     widths = [_WIDTH if fields is None else len(fields) for fields, _ in columns]
     ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators

@@ -283,10 +283,8 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS[_i, _k, _j] = -1.0
 
 
-def level_zero_residual(register: SpinRegister, weights) -> float:
+def _level_zero_residual(y: VectorOperator, total: VectorOperator) -> float:
     """Max defect of [I_a, I_b] = i eps_abc I_c and [I_a, Y_b] = i eps_abc Y_c."""
-    y = build_yangian(register, weights)
-    total = total_spin(register)
     worst = 0.0
     for a in range(3):
         for b in range(3):
@@ -299,14 +297,12 @@ def level_zero_residual(register: SpinRegister, weights) -> float:
     return worst
 
 
-def _serre_fit(register: SpinRegister, weights):
+def _serre_fit(y: VectorOperator, total: VectorOperator):
     """Least-squares deformation scalar for the cubic charge relations.
 
     Fits lambda in  [Y_+, [Y_3, Y_+]] = (lambda/4) I_+ (Y_+ I_3 - I_+ Y_3)
     and the lowering-operator counterpart, sharing one lambda across both.
     """
-    y = build_yangian(register, weights)
-    total = total_spin(register)
     i_p, i_m, i_3 = total.x + 1j * total.y, total.x - 1j * total.y, total.z
     y_p, y_m, y_3 = y.x + 1j * y.y, y.x - 1j * y.y, y.z
     lhs_p = commutator(y_p, commutator(y_3, y_p))
@@ -324,10 +320,12 @@ def _serre_fit(register: SpinRegister, weights):
 
 
 def check_yangian_axioms(register: SpinRegister, weights) -> AxiomReport:
-    lz = level_zero_residual(register, weights)
-    lam, serre = _serre_fit(register, weights)
+    """Both relations checked on one Y and one total spin of the register."""
+    y = build_yangian(register, weights)
+    total = total_spin(register)
+    lam, serre = _serre_fit(y, total)
     return AxiomReport(
-        level_zero_residual=lz,
+        level_zero_residual=_level_zero_residual(y, total),
         serre_residual=serre,
         fitted_lambda=lam,
         serre_consistent=bool(serre < SERRE_CONSISTENT_ATOL),
@@ -359,10 +357,3 @@ def q_joint_labels(register: SpinRegister, weights) -> list:
                                     states[:, idx], degenerate=shared[idx])
                        for idx in range(len(spec.eigenvalues)))
     return out
-
-
-def q_spectrum(register: SpinRegister, weights=None):
-    """Full spectrum of Q (Hermitian weights only) with degeneracy groups."""
-    if weights is None:
-        weights = np.zeros(register.n_sites)
-    return hermitian_eig(hermitian_q(register, weights))

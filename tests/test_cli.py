@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from spincluster import yangian
 from spincluster.cli import main
 from spincluster.dynamics import FieldProfile, RateParams
 from spincluster.spectra import FAMILIES
@@ -131,6 +132,7 @@ def test_q_spectrum_rejects_non_hermitian_weights(tmp_path):
     ([0.3, 0.3, 5e-11], 2),      # u1 - u2 + u3 = 5e-11
     ([1e-11, 0.0, 0.0, 0.0], 2),
     ([0.3, 0.3, 0.0], 0),
+    ([1e200, 2e200, 1e200], 3),  # Hermitian weights whose Q overflows
 ])
 def test_q_spectrum_and_commutant_share_one_hermiticity_rule(tmp_path, weights,
                                                              code):
@@ -138,7 +140,7 @@ def test_q_spectrum_and_commutant_share_one_hermiticity_rule(tmp_path, weights,
     spectrum, commutant = run("q-spectrum", path), run("commutant", path)
     assert spectrum[0] == commutant[0] == code
     assert spectrum[2] == commutant[2]
-    if code:
+    if code == 2:
         assert commutant[2].startswith(
             "config error: Q is not Hermitian for these weights; triple prefactors")
 
@@ -171,6 +173,31 @@ def test_check_yangian_at_zero_weights():
     assert doc["level_zero_residual"] < 1e-12
     assert doc["fitted_lambda"] == pytest.approx(4.0, abs=1e-9)
     assert doc["serre_consistent"] is True
+
+
+@pytest.mark.parametrize("sites", [2, 3, 4])
+def test_q_spectrum_and_check_yangian_build_each_operator_once(monkeypatch,
+                                                                sites):
+    calls = dict.fromkeys(("build_yangian", "build_q", "total_spin"), 0)
+
+    def counted(name):
+        original = getattr(yangian, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(yangian, name, counted(name))
+    solved, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(len(m)) or eigh(m))
+    assert run("q-spectrum", "--sites", str(sites))[0] == 0
+    assert calls == {"build_yangian": 1, "build_q": 1, "total_spin": 0}
+    assert solved and max(solved) < 2 ** sites  # spin-sector blocks only
+    calls.update(dict.fromkeys(calls, 0))
+    assert run("check-yangian", "--sites", str(sites))[0] == 0
+    assert calls == {"build_yangian": 1, "build_q": 0, "total_spin": 1}
 
 
 def test_commutant_dimensions():
@@ -302,8 +329,9 @@ NAN, INF = float("nan"), float("inf")
     ("simulate", {"n_steps": 20.7}),
     ("simulate", {"A": True}),
     ("spectrum", {"family": "triangle", "J12": "65", "J13": 7.0}),
-    # Hermitian weights whose Q overflows
-    ("commutant", {"sites": 3, "weights": [1e200, 2e200, 1e200]}),
+    # weights off the Hermitian plane at a scale where Q would overflow:
+    # the triple-prefactor rule refuses them before Q is built
+    ("commutant", {"sites": 3, "weights": [1e200, 2e200, 1.1e200]}),
     # an explicit initial state is a pair of numbers, like any other number
     ("simulate", {"init": [True, False]}),
     ("simulate", {"init": ["0.5", "0"]}),
@@ -327,6 +355,7 @@ def test_malformed_numbers_are_config_errors(tmp_path, command, payload):
                    "n_grid": 2}),
     ("levels-report", {"b_min": 1, "b_max": 2, "n_grid": 3,
                        "delta_gap": 1e200}),
+    ("commutant", {"sites": 3, "weights": [1e200, 2e200, 1e200]}),
 ])
 def test_non_finite_results_are_numerical_failures(tmp_path, command, payload):
     code, out, err = run(command, write_cfg(tmp_path, payload))
@@ -344,7 +373,7 @@ def test_levels_report_overflowing_matrix_fails_the_hermiticity_gate(tmp_path):
                    "max |M - M^dag| = nan\n")
 
 
-def _reject_constant(name):
+def _reject_constant_in_sum(name):
     raise AssertionError(f"{name} in JSON output")
 
 
@@ -356,7 +385,7 @@ def test_weighted_sum_of_finite_levels_survives_product_overflow(tmp_path, paylo
     # every level is finite, but E*(2S+1) overflows for the largest ones
     code, out, err = run("spectrum", write_cfg(tmp_path, payload))
     assert (code, err) == (0, "")
-    doc = json.loads(out, parse_constant=_reject_constant)
+    doc = json.loads(out, parse_constant=_reject_constant_in_sum)
     peak = max(abs(lev["energy"]) for lev in doc["levels"])
     assert abs(doc["weighted_sum"]) <= 1e-10 * peak
 

@@ -256,7 +256,8 @@ def test_phase_map_csv_equals_materialized_columns(a12_range, a13_range, n_grid,
         for labels, spin in grid.summaries])
     assert_same_text(grid.to_csv(), csv_text(
         "a12,a13,ground_labels,ground_S,ground_energy",
-        (*_points(grid), cells[grid.pattern], grid.ground_energy)))
+        (*_points(grid), (cells[grid.pattern], np.arange(len(grid))),
+         grid.ground_energy)))
 
 
 def test_ordering_claim_is_reported_not_asserted():

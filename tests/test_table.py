@@ -92,7 +92,8 @@ def test_any_number_of_rows(rows):
     values = rng.standard_normal(rows) * 10.0 ** rng.integers(-50, 20, rows)
     labels = np.array(["a;b,0.5", "c,degenerate-mixed", ""])[
         rng.integers(0, 3, rows)]
-    assert_written_as_oracle(values, labels, np.abs(values), -values)
+    assert_indexed_as_oracle(values, (labels, np.arange(rows)), np.abs(values),
+                             -values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,21 +133,24 @@ VALUES = {"edges": st.lists(st.sampled_from(EDGES), min_size=1, max_size=30),
 
 @st.composite
 def tables(draw):
-    """One to four columns of one row count: plain floats, plain strings,
-    and (values, index) pairs of edge values, any floats or strings."""
+    """One to four columns of one row count: plain floats, (strings,
+    arange) pairs, and (values, index) pairs of edge values, any floats or
+    strings."""
     rows = draw(st.integers(0, 60))
     columns = []
-    for kind in draw(st.lists(st.sampled_from([*VALUES, "plain", "plain strings"]),
+    for kind in draw(st.lists(st.sampled_from([*VALUES, "plain", "string rows"]),
                               min_size=1, max_size=4)):
         if kind in VALUES:
             values = draw(VALUES[kind])
             index = draw(st.lists(st.integers(0, len(values) - 1),
                                   min_size=rows, max_size=rows))
             columns.append((np.array(values), np.array(index, dtype=np.intp)))
+        elif kind == "plain":
+            columns.append(np.array(draw(st.lists(st.floats(), min_size=rows,
+                                                  max_size=rows)), dtype=float))
         else:
-            cell = st.floats() if kind == "plain" else TEXT
-            columns.append(np.array(draw(st.lists(cell, min_size=rows, max_size=rows)),
-                                    dtype=float if kind == "plain" else str))
+            strings = draw(st.lists(TEXT, min_size=rows, max_size=rows))
+            columns.append((np.array(strings, dtype=str), np.arange(rows)))
     return columns
 
 

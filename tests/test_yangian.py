@@ -17,7 +17,9 @@ from spincluster.errors import ConfigError
 from spincluster.operators import (
     HERMITICITY_ATOL,
     SpinRegister,
+    hermitian_eig,
     hermiticity_defect,
+    multiplicities,
     total_spin,
 )
 from spincluster.yangian import (
@@ -33,7 +35,6 @@ from spincluster.yangian import (
     numeric_action_block,
     q_hermiticity_condition,
     q_joint_labels,
-    q_spectrum,
     triple_prefactors,
 )
 
@@ -116,28 +117,29 @@ def test_triple_prefactors_four_sites():
 
 # --- spectra and labels ------------------------------------------------
 
+def _full_spectrum(n_sites):
+    spec = hermitian_eig(hermitian_q(SpinRegister(n_sites), np.zeros(n_sites)))
+    return [(round(v, 10), k) for v, k in multiplicities(spec.eigenvalues)]
+
+
 def test_three_site_spectrum_at_zero_weights():
-    spec = q_spectrum(SpinRegister(3))
-    assert [(round(v, 10), k) for v, k in spec.multiplicities()] == [
-        (-2.25, 2), (-1.0, 4), (-0.25, 2)]
+    assert _full_spectrum(3) == [(-2.25, 2), (-1.0, 4), (-0.25, 2)]
 
 
 def test_four_site_spectrum_at_zero_weights():
-    spec = q_spectrum(SpinRegister(4))
-    assert [(round(v, 10), k) for v, k in spec.multiplicities()] == [
-        (-5.5, 3), (-3.0, 1), (-2.5, 5), (-1.0, 1), (-0.5, 6)]
+    assert _full_spectrum(4) == [(-5.5, 3), (-3.0, 1), (-2.5, 5), (-1.0, 1), (-0.5, 6)]
 
 
 def test_spectrum_rejects_nonhermitian_weights():
     with pytest.raises(ConfigError):
-        q_spectrum(SpinRegister(4), [0.3, 0.0, 0.0, 0.0])
+        hermitian_q(SpinRegister(4), [0.3, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("weights", [[0.3, 0.3, 5e-11], [1e-11, 0.0, 0.0, 0.0]])
 def test_one_gate_rejects_nonhermitian_weights(weights):
     register = SpinRegister(len(weights))
     messages = set()
-    for call in (hermitian_q, q_spectrum, q_joint_labels):
+    for call in (hermitian_q, q_joint_labels):
         with pytest.raises(ConfigError, match="triple prefactors") as info:
             call(register, weights)
         messages.add(str(info.value))
