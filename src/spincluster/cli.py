@@ -4,18 +4,23 @@ One JSON config document per invocation (positional path or
 ``--config``), optionally seeded from a named preset; scalar flags
 override config fields.  The merged config is read once against its
 subcommand's spec in ``_SPECS``.  All output is deterministic: JSON with
-sorted keys, CSV floats at 17 significant digits.  Exit codes: 0 success,
-2 configuration/validation problem, 3 failed numerical check.
+sorted keys, CSV floats at 17 significant digits, returned by a handler as
+pieces that ``main`` writes to stdout or ``--out`` once every check has
+passed.  Exit codes: 0 success, 2 configuration/validation problem, 3
+failed numerical check.
 """
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -127,9 +132,9 @@ def _require(cfg: dict, command: str, *names):
     return [cfg[name] for name in names]
 
 
-def _json(doc) -> str:
+def _json(doc) -> tuple:
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",)
     except ValueError:
         raise NumericalCheckError("result is not finite (NaN or infinity)") from None
 
@@ -139,7 +144,7 @@ def _register_and_weights(cfg):
     return SpinRegister(sites), cfg.get("weights", [0.0] * sites)
 
 
-def _cmd_q_spectrum(cfg) -> str:
+def _cmd_q_spectrum(cfg) -> Iterable[str]:
     register, weights = _register_and_weights(cfg)
     states = yangian.q_joint_labels(register, weights)
     return _json({
@@ -152,14 +157,14 @@ def _cmd_q_spectrum(cfg) -> str:
     })
 
 
-def _cmd_check_yangian(cfg) -> str:
+def _cmd_check_yangian(cfg) -> Iterable[str]:
     register, weights = _register_and_weights(cfg)
     report = yangian.check_yangian_axioms(register, weights)
     return _json({"sites": register.n_sites, "weights": weights,
                   **dataclasses.asdict(report)})
 
 
-def _cmd_commutant(cfg) -> str:
+def _cmd_commutant(cfg) -> Iterable[str]:
     register, weights = _register_and_weights(cfg)
     family = symmetry.commutant_family(register, yangian.hermitian_q(register, weights))
     pairs = symmetry.pair_order(register.n_sites)
@@ -187,7 +192,7 @@ def _levelset_for(cfg, command: str, family: str):
     return params, spectra.levels(family, *params.values())
 
 
-def _cmd_spectrum(cfg) -> str:
+def _cmd_spectrum(cfg) -> Iterable[str]:
     family = cfg.get("family", "parallelogram")
     params, levelset = _levelset_for(cfg, "spectrum", family)
     return _json({
@@ -199,12 +204,12 @@ def _cmd_spectrum(cfg) -> str:
     })
 
 
-def _cmd_phase_map(cfg) -> str:
+def _cmd_phase_map(cfg) -> Iterable[str]:
     return spectra.phase_map(
         *_require(cfg, "phase-map", "a12_range", "a13_range", "n_grid")).to_csv()
 
 
-def _cmd_moments(cfg) -> str:
+def _cmd_moments(cfg) -> Iterable[str]:
     sites = cfg.get("sites", 4)
     family_of = {family.sites: name for name, family in spectra.FAMILIES.items()}
     if sites not in family_of:
@@ -244,7 +249,7 @@ def _cmd_moments(cfg) -> str:
     })
 
 
-def _cmd_levels_report(cfg) -> str:
+def _cmd_levels_report(cfg) -> Iterable[str]:
     b_min, b_max, n_grid = _require(cfg, "levels-report", "b_min", "b_max", "n_grid")
     if n_grid < 1:
         raise ConfigError("n_grid must be at least 1")
@@ -253,7 +258,7 @@ def _cmd_levels_report(cfg) -> str:
         **_given(cfg, "gamma")).to_csv()
 
 
-def _cmd_simulate(cfg) -> str:
+def _cmd_simulate(cfg) -> Iterable[str]:
     params = dynamics.RateParams(
         **_given(cfg, "A", "inv_temp", "gamma", "delta_gap"))
     profile = dynamics.FieldProfile(**cfg.get("field", {}))
@@ -341,17 +346,22 @@ def main(argv=None) -> int:
     try:
         # non-finite intermediates are caught by the gates and by _json
         with np.errstate(all="ignore"):
-            text = _HANDLERS[args.command](_load_config(args))
-        if args.out:
-            Path(args.out).write_text(text)
+            pieces = _HANDLERS[args.command](_load_config(args))
+            # every gate has run: only now is --out opened or a byte written
+            with (open(args.out, "w") if args.out
+                  else contextlib.nullcontext(sys.stdout)) as out:
+                out.writelines(pieces)
+                out.flush()
+    except BrokenPipeError:  # a reader stopped early; devnull takes the exit flush
+        if not args.out:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, MemoryError, OSError) as exc:  # OSError: a given path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalCheckError as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
-    if not args.out:
-        sys.stdout.write(text)
     return 0
 
 

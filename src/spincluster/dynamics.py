@@ -25,13 +25,13 @@ default and the integrator's ground truth) and ``paper_verbatim``
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .operators import hermitian, read_only, spin_matrices
-from .table import csv_text
+from .table import csv_pieces
 
 DETAILED_BALANCE_RTOL = 1e-12
 POPULATION_WINDOW = 1e-6      # integrator abort threshold
@@ -201,9 +201,9 @@ class Trajectory:
         stacked = np.concatenate(self.populations())
         return float(max(np.max(stacked) - 1.0, -np.min(stacked), 0.0))
 
-    def to_csv(self) -> str:
-        return csv_text("t,B,M_norm,rho00,n",
-                        (self.t, self.B, self.M_norm, self.rho00, self.n))
+    def to_csv(self) -> Iterator[str]:
+        return csv_pieces("t,B,M_norm,rho00,n",
+                          (self.t, self.B, self.M_norm, self.rho00, self.n))
 
 
 def _initial_state(init, scale0: float, params: RateParams):
@@ -421,11 +421,11 @@ class LevelComparisonReport:
     min_zero_count: int
     invariant_pair_max_dev: float
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> Iterator[str]:
         """One row per field point and level; each field and the level
         indices, floats 0.0 ... 8.0 that print as 0 ... 8, are encoded once."""
         point, level = np.divmod(np.arange(self.numeric.size), 9)
-        return csv_text("B,level,numeric,printed,corrected", (
+        return csv_pieces("B,level,numeric,printed,corrected", (
             (self.b_grid, point), (np.arange(9.0), level),
             self.numeric.ravel(), self.printed.ravel(), self.corrected.ravel()))
 

@@ -12,7 +12,7 @@ sweeps that comparison over a grid.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .symmetry import (
     constrained_couplings_triangle,
     heisenberg_hamiltonian,
 )
-from .table import csv_text
+from .table import csv_pieces
 
 CLOSED_FORM_ATOL = 1e-10
 DEFAULT_TIE_RTOL = 1e-9
@@ -160,16 +160,16 @@ class PhaseMap:
     def __len__(self) -> int:
         return self.ground_energy.size
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> Iterator[str]:
         """One row per point; the labels and S of a pattern are one cell."""
         cells = np.array([";".join(labels) + "," + (
             spin if isinstance(spin, str) else "%.17g" % spin)
             for labels, spin in self.summaries])
         x, y = FAMILIES["parallelogram"].couplings
         i12, i13 = np.divmod(np.arange(len(self)), self.a13_axis.size)
-        return csv_text(f"{x},{y},ground_labels,ground_S,ground_energy",
-                        ((self.a12_axis, i12), (self.a13_axis, i13),
-                         (cells, self.pattern), self.ground_energy))
+        return csv_pieces(f"{x},{y},ground_labels,ground_S,ground_energy",
+                          ((self.a12_axis, i12), (self.a13_axis, i13),
+                           (cells, self.pattern), self.ground_energy))
 
 
 def _axis(bounds, n_grid: int) -> np.ndarray:

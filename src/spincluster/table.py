@@ -8,8 +8,7 @@ off go through ``%``, in one batch per block."""
 
 import numpy as np
 
-_BLOCK = 1024  # rows of five float columns formatted at a time; bounds memory
-_PIECE_BLOCKS = 4  # such blocks per piece of the text; see csv_text
+_BLOCK = 1024  # rows of five float columns formatted and yielded at a time
 
 # A float field is NUL-padded: the sign, the "0.000" prefix, 18 slots for
 # 17 digits and the decimal point, and the "e-XX" suffix.
@@ -132,39 +131,29 @@ def _gathered(column):
     return _float_fields(values.astype(float, copy=False)), index
 
 
-def csv_text(header: str, columns) -> str:
-    """The header line, then row i of the columns joined by ``,``.  A column
-    is a float array, written as ``"%.17g" % v``, or a pair ``(values,
-    index)`` of floats or strings written verbatim, whose row i is
-    ``values[index[i]]``.  A block of rows formats about 5 * _BLOCK floats
-    of the float arrays in one pass and gathers the other fields."""
+def csv_pieces(header: str, columns):
+    """The header line, then a block of rows per piece: row i of the
+    columns joined by ``,``.  A column is a float array, written as
+    ``"%.17g" % v``, or a pair ``(values, index)`` of floats or strings
+    written verbatim, whose row i is ``values[index[i]]``.  A block formats
+    about 5 * _BLOCK floats of the float arrays in one pass."""
+    yield header + "\n"
     columns = [_gathered(column) for column in columns]
     widths = [_WIDTH if fields is None else len(fields) for fields, _ in columns]
     ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators
     rows = 5 * _BLOCK // max(1, sum(fields is None for fields, _ in columns))
-    count = len(columns[0][1])
-    # pieces of about 600 kB and at least one block, gathered in one reused
-    # buffer: smaller or newly allocated ones fragment the heap, and some
-    # runs then peak higher by the size of the text
-    per_piece = max(1, _PIECE_BLOCKS * 5 * _BLOCK * (_WIDTH + 1) // (rows * ends[-1]))
-    pieces, size = [header + "\n"], 0
-    piece = np.empty(per_piece * rows * ends[-1], np.uint8)
-    for start in range(0, count, rows):
+    for start in range(0, len(columns[0][1]), rows):
         block = slice(start, start + rows)
         floats = [per_row[block] for fields, per_row in columns if fields is None]
         formatted = iter(np.split(_float_fields(np.concatenate(floats)), len(floats),
                                   axis=1) if floats else ())
         # field-major: each byte of a field is one contiguous row
-        lines = np.zeros((ends[-1], min(rows, count - start)), np.uint8)
+        lines = np.zeros((ends[-1], len(columns[0][1][block])), np.uint8)
         for (fields, per_row), width, end in zip(columns, widths, ends):
             lines[end - 1 - width:end - 1] = (next(formatted) if fields is None
                                               else fields.take(per_row[block], axis=1))
         lines[ends - 1] = ord(",")
         lines[-1] = ord("\n")
-        data = lines.T.tobytes().translate(None, b"\0")
-        piece[size:size + len(data)] = np.frombuffer(data, np.uint8)
-        size += len(data)
-        if start // rows % per_piece == per_piece - 1 or start + rows >= count:
-            pieces.append(str(piece[:size], "ascii"))
-            size = 0
-    return "".join(pieces)
+        piece = lines.T.tobytes().translate(None, b"\0").decode("ascii")
+        del formatted, lines  # freed first: a buffer taking pieces grows in place
+        yield piece

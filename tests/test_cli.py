@@ -9,12 +9,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import spincluster
 from spincluster import yangian
 from spincluster.cli import main
 from spincluster.dynamics import FieldProfile, RateParams
@@ -37,6 +42,17 @@ def write_cfg(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_refused_without_writing(tmp_path, code, *argv):
+    """Run argv with --out, at an absent path and at an existing file: each
+    run exits with code, and --out is neither created nor changed."""
+    path = tmp_path / "refused.out"
+    for before in (None, b"earlier output\n"):
+        if before is not None:
+            path.write_bytes(before)
+        assert run(*argv, "--out", str(path))[:2] == (code, "")
+        assert (path.read_bytes() if path.exists() else None) == before
 
 
 # --- plumbing -------------------------------------------------------------
@@ -341,10 +357,12 @@ NAN, INF = float("nan"), float("inf")
     ("commutant", {"weights": [0.0, 0.0, 0.0, 0.0]}),
 ])
 def test_malformed_numbers_are_config_errors(tmp_path, command, payload):
-    code, out, err = run(command, write_cfg(tmp_path, payload))
+    cfg = write_cfg(tmp_path, payload)
+    code, out, err = run(command, cfg)
     assert code == 2
     assert out == ""
     assert err.startswith("config error:")
+    assert_refused_without_writing(tmp_path, 2, command, cfg)
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -424,10 +442,34 @@ def test_simulate_writes_trajectory_csv(tmp_path):
     assert len(lines) == 52
 
 
-def test_simulate_stiff_run_exits_three():
-    code, _, err = run("simulate", "--preset", "fig4-loop", "--steps", "3000")
+def test_simulate_stiff_run_exits_three(tmp_path):
+    argv = ("simulate", "--preset", "fig4-loop", "--steps", "3000")
+    code, _, err = run(*argv)
     assert code == 3
     assert "numerical check failed" in err
+    # the integrator's gate fires before --out is opened
+    assert_refused_without_writing(tmp_path, 3, *argv)
+
+
+@pytest.mark.parametrize("argv, read", [
+    (("simulate", "--preset", "fig4-loop"), 10),  # mid-stream, 10 MB to go
+    (("spectrum", "--preset", "v6-triangle"), 0),  # closed before the write
+])
+def test_a_closed_stdout_pipe_ends_the_output_quietly(argv, read):
+    # no "config error", and no "Exception ignored" from the flush at exit;
+    # stdout is block-buffered, as from a shell, so small outputs wait for
+    # a flush
+    src = str(Path(spincluster.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "spincluster.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), len(head), err) == (0, read, b"")
 
 
 def test_simulate_overflowing_rates_do_not_ask_for_steps(tmp_path):

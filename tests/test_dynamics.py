@@ -36,8 +36,7 @@ from spincluster.dynamics import (
 )
 from spincluster.errors import ConfigError, NumericalCheckError
 from spincluster.operators import VectorOperator, cross_component, spin_matrices
-from spincluster.table import csv_text
-from test_table import assert_same_text
+from test_table import assert_same_text, csv_text
 
 RATE = st.floats(min_value=0.0, max_value=50.0,
                  allow_nan=False, allow_infinity=False)
@@ -435,7 +434,7 @@ def test_block_scan_matches_step_loop(params, profile, init, lzs_mode,
 def test_trajectory_csv_contract():
     profile = FieldProfile(kind="constant", amplitude=0.0, t_end=1.0)
     traj = integrate_magnetization(RateParams(), profile, n_steps=10)
-    text = traj.to_csv()
+    text = "".join(traj.to_csv())
     lines = text.splitlines()
     assert lines[0] == "t,B,M_norm,rho00,n"
     assert len(lines) == 12
@@ -711,7 +710,8 @@ def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
                                                        delta_gap, gamma):
     # oracle: every column materialized, one B and one level index per row
     report = coupled_levels_report(np.linspace(*b_range, n_grid), delta_gap, gamma)
-    assert_same_text(report.to_csv(), csv_text("B,level,numeric,printed,corrected", (
+    text = "".join(report.to_csv())
+    assert_same_text(text, csv_text("B,level,numeric,printed,corrected", (
         np.repeat(report.b_grid, 9), np.tile(np.arange(9.0), n_grid),
         report.numeric.ravel(), report.printed.ravel(), report.corrected.ravel())))
 

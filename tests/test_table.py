@@ -10,9 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincluster import table
-from spincluster.table import csv_text
+from spincluster.table import csv_pieces
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def csv_text(header, columns):
+    """The writer's pieces, joined."""
+    return "".join(csv_pieces(header, columns))
 
 
 def oracle(header, columns):
@@ -85,8 +90,7 @@ def test_edges_hold_rounding_carries_and_ties():
 
 
 @pytest.mark.parametrize("rows", [0, 1, table._BLOCK - 1, table._BLOCK,
-                                  table._BLOCK + 1,
-                                  table._BLOCK * table._PIECE_BLOCKS + 1])
+                                  table._BLOCK + 1, 4 * table._BLOCK + 1])
 def test_any_number_of_rows(rows):
     rng = np.random.default_rng(rows)
     values = rng.standard_normal(rows) * 10.0 ** rng.integers(-50, 20, rows)
@@ -94,6 +98,16 @@ def test_any_number_of_rows(rows):
         rng.integers(0, 3, rows)]
     assert_indexed_as_oracle(values, (labels, np.arange(rows)), np.abs(values),
                              -values)
+
+
+def test_pieces_are_the_header_then_one_per_block():
+    # 4097 rows of five float columns: four whole blocks and one row
+    rows = 4 * table._BLOCK + 1
+    columns = [np.arange(rows) + 0.5 * j for j in range(5)]
+    pieces = list(csv_pieces("h", columns))
+    assert pieces[0] == "h\n"
+    assert [piece.count("\n") for piece in pieces[1:]] == [table._BLOCK] * 4 + [1]
+    assert "".join(pieces) == oracle("h", columns)
 
 
 @settings(max_examples=200, deadline=None)
