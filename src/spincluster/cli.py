@@ -6,8 +6,8 @@ override config fields.  The merged config is read once against its
 subcommand's spec in ``_SPECS``.  All output is deterministic: JSON with
 sorted keys, CSV floats at 17 significant digits, returned by a handler as
 pieces that ``main`` writes to stdout or ``--out`` once every check has
-passed.  Exit codes: 0 success, 2 configuration/validation problem, 3
-failed numerical check.
+passed.  Exit codes: 0 success, 2 configuration/validation problem or failed
+write, 3 failed numerical check.
 """
 
 import argparse
@@ -343,6 +343,7 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    out = None
     try:
         # non-finite intermediates are caught by the gates and by _json
         with np.errstate(all="ignore"):
@@ -352,11 +353,14 @@ def main(argv=None) -> int:
                   else contextlib.nullcontext(sys.stdout)) as out:
                 out.writelines(pieces)
                 out.flush()
-    except BrokenPipeError:  # a reader stopped early; devnull takes the exit flush
-        if not args.out:
+    except OSError as exc:  # a given path, or a write once out is open
+        if out is not None and not args.out:  # devnull takes the exit flush
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    except (ConfigError, MemoryError, OSError) as exc:  # OSError: a given path
+        if isinstance(exc, BrokenPipeError):  # a reader stopped early
+            return 0
+        print(f"{'config' if out is None else 'output'} error: {exc}", file=sys.stderr)
+        return 2
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalCheckError as exc:

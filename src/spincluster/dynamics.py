@@ -311,12 +311,12 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
                                         rho0 + (d10 * n0 + d11 * rho0 + v1))
             _check_populations(t_nodes[start:stop + 1], *y[:, start:stop + 1])
 
-    m_norm = y[0].copy()
+    n = m_norm = y[0]  # one array, formatted once by the writer
     if adiabatic:  # times cos(beta)
         omega = level_scale(b_nodes)
-        m_norm *= np.where(omega > 0.0, gamma * b_nodes / np.where(
+        m_norm = n * np.where(omega > 0.0, gamma * b_nodes / np.where(
             omega > 0.0, omega, 1.0), 0.0)
-    return Trajectory(t=t_nodes, B=b_nodes, M_norm=m_norm, rho00=y[1], n=y[0])
+    return Trajectory(*read_only(t_nodes, b_nodes, m_norm, y[1], n))
 
 
 def enclosed_area(traj: Trajectory, t_start: float = None,

@@ -121,39 +121,43 @@ def _float_fields(x):
 
 def _gathered(column):
     """(fields, per_row): a float array as (None, its values); a pair
-    (values, index) as the (width, values) NUL-padded bytes of its values,
+    (values, index) as the (values, width) NUL-padded bytes of its values,
     each encoded once, and the index of each row's value."""
     if not isinstance(column, tuple):
         return None, np.asarray(column).astype(float, copy=False)
     values, index = np.asarray(column[0]), np.asarray(column[1])
     if values.dtype.kind in "SU":
-        return values.astype("S")[:, None].view(np.uint8).T, index
-    return _float_fields(values.astype(float, copy=False)), index
+        return values.astype("S")[:, None].view(np.uint8), index
+    fields = _float_fields(values.astype(float, copy=False))
+    return np.ascontiguousarray(fields.T), index
 
 
 def csv_pieces(header: str, columns):
     """The header line, then a block of rows per piece: row i of the
     columns joined by ``,``.  A column is a float array, written as
     ``"%.17g" % v``, or a pair ``(values, index)`` of floats or strings
-    written verbatim, whose row i is ``values[index[i]]``.  A block formats
-    about 5 * _BLOCK floats of the float arrays in one pass."""
+    written verbatim, whose row i is ``values[index[i]]``.  A float array
+    passed at several positions is formatted once; a block formats about
+    5 * _BLOCK floats of the distinct float arrays in one pass."""
     yield header + "\n"
     columns = [_gathered(column) for column in columns]
-    widths = [_WIDTH if fields is None else len(fields) for fields, _ in columns]
+    widths = [_WIDTH if fields is None else fields.shape[1] for fields, _ in columns]
     ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators
-    rows = 5 * _BLOCK // max(1, sum(fields is None for fields, _ in columns))
+    floats = {id(per_row): per_row for fields, per_row in columns if fields is None}
+    rows = 5 * _BLOCK // max(1, len(floats))
     for start in range(0, len(columns[0][1]), rows):
         block = slice(start, start + rows)
-        floats = [per_row[block] for fields, per_row in columns if fields is None]
-        formatted = iter(np.split(_float_fields(np.concatenate(floats)), len(floats),
-                                  axis=1) if floats else ())
-        # field-major: each byte of a field is one contiguous row
-        lines = np.zeros((ends[-1], len(columns[0][1][block])), np.uint8)
+        formatted = dict(zip(floats, np.split(_float_fields(np.concatenate(
+            [per_row[block] for per_row in floats.values()])), len(floats),
+            axis=1))) if floats else {}
+        # row-major: each line is one contiguous run of bytes
+        lines = np.zeros((len(columns[0][1][block]), ends[-1]), np.uint8)
         for (fields, per_row), width, end in zip(columns, widths, ends):
-            lines[end - 1 - width:end - 1] = (next(formatted) if fields is None
-                                              else fields.take(per_row[block], axis=1))
-        lines[ends - 1] = ord(",")
-        lines[-1] = ord("\n")
-        piece = lines.T.tobytes().translate(None, b"\0").decode("ascii")
+            lines[:, end - 1 - width:end - 1] = (
+                formatted[id(per_row)].T if fields is None
+                else fields.take(per_row[block], axis=0))
+        lines[:, ends - 1] = ord(",")
+        lines[:, -1] = ord("\n")
+        piece = lines.tobytes().translate(None, b"\0").decode("ascii")
         del formatted, lines  # freed first: a buffer taking pieces grows in place
         yield piece

@@ -451,25 +451,51 @@ def test_simulate_stiff_run_exits_three(tmp_path):
     assert_refused_without_writing(tmp_path, 3, *argv)
 
 
+def cli_process(argv, stdout):
+    """``python -m spincluster.cli argv`` in a subprocess, stderr piped.
+    Its stdout is block-buffered, as from a shell, so small outputs wait
+    for a flush."""
+    src = str(Path(spincluster.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, "-m", "spincluster.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
 @pytest.mark.parametrize("argv, read", [
     (("simulate", "--preset", "fig4-loop"), 10),  # mid-stream, 10 MB to go
     (("spectrum", "--preset", "v6-triangle"), 0),  # closed before the write
 ])
 def test_a_closed_stdout_pipe_ends_the_output_quietly(argv, read):
-    # no "config error", and no "Exception ignored" from the flush at exit;
-    # stdout is block-buffered, as from a shell, so small outputs wait for
-    # a flush
-    src = str(Path(spincluster.__file__).parents[1])
-    env = {key: value for key, value in os.environ.items()
-           if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.Popen([sys.executable, "-m", "spincluster.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # no "config error", and no "Exception ignored" from the flush at exit
+    proc = cli_process(argv, subprocess.PIPE)
     head = proc.stdout.read(read)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), len(head), err) == (0, read, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, to_stdout", [
+    (("spectrum", "--preset", "v6-triangle"), True),  # fails in main's flush
+    (("simulate", "--preset", "fig4-loop"), True),  # fails mid-stream
+    (("phase-map", "PM"), True),
+    (("simulate", "--preset", "fig4-loop", "--out", "/dev/full"), False),
+    (("spectrum", "--preset", "v6-triangle", "--out", "/dev/full"), False),
+])
+def test_a_failed_write_is_an_output_error(tmp_path, argv, to_stdout):
+    # exit 2 with one "output error" line: not "config error", and no
+    # "Exception ignored" from the flush at exit
+    cfg = write_cfg(tmp_path, {"a12_range": [-6, 2], "a13_range": [-5, 3],
+                               "n_grid": 300})
+    argv = [cfg if arg == "PM" else arg for arg in argv]
+    with open("/dev/full" if to_stdout else os.devnull, "w") as stdout:
+        proc = cli_process(argv, stdout)
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert err == "output error: [Errno 28] No space left on device\n"
 
 
 def test_simulate_overflowing_rates_do_not_ask_for_steps(tmp_path):
@@ -544,10 +570,11 @@ def _levels_against_complex_eigh(out, payload):
 # blocks; the others from the writers that each command had before all
 # three shared one, and the 101-point phase map and 400-point levels report
 # from the writer before it indexed their grid columns.  The writer's
-# blocks hold about 5 * 1024 floats of the plain float columns: 1024 rows
-# of simulate, 1706 of levels-report and 5120 of phase-map, and a piece of
-# the text holds 4, 2 and 1 blocks.  simulate-5000 (5001 rows),
-# levels-report-400 (3600) and phase-map-101 (10201) cross both edges.  The
+# blocks hold about 5 * 1024 floats of the distinct plain float columns:
+# 1024 rows of adiabatic simulate, 1280 of simulate with lzs_mode off
+# (M_norm is n), 1706 of levels-report and 5120 of phase-map, and a piece
+# of the text is one block.  simulate-5000 (5001 rows),
+# levels-report-400 (3600) and phase-map-101 (10201) cross block edges.  The
 # phase maps hold the six-way tie at the origin, the singlet ties on the
 # diagonal and degenerate-mixed rows.
 # The simulate digest covers its t,B columns only: the integrator composes

@@ -234,6 +234,18 @@ def test_zero_field_with_gap_relaxes_but_reads_zero():
     assert traj.n[-1] > traj.n[0]               # populations do move
 
 
+@pytest.mark.parametrize("lzs_mode", ["off", "adiabatic"])
+def test_trajectory_arrays_are_shared_read_only(lzs_mode):
+    # off: M_norm is n itself, so no column may change another in place
+    profile = FieldProfile(kind="sinusoid", amplitude=2.0, t_end=5.0)
+    traj = integrate_magnetization(RateParams(delta_gap=0.5), profile,
+                                   n_steps=500, lzs_mode=lzs_mode)
+    assert (traj.M_norm is traj.n) == (lzs_mode == "off")
+    for name in ("t", "B", "M_norm", "rho00", "n"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 0.0
+
+
 def test_integrator_validates_arguments():
     params, profile = RateParams(), FieldProfile()
     with pytest.raises(ConfigError):

@@ -147,21 +147,25 @@ VALUES = {"edges": st.lists(st.sampled_from(EDGES), min_size=1, max_size=30),
 
 @st.composite
 def tables(draw):
-    """One to four columns of one row count: plain floats, (strings,
-    arange) pairs, and (values, index) pairs of edge values, any floats or
-    strings."""
+    """One to four columns of one row count: plain floats, an earlier
+    plain float array again (the same object), (strings, arange) pairs,
+    and (values, index) pairs of edge values, any floats or strings."""
     rows = draw(st.integers(0, 60))
-    columns = []
-    for kind in draw(st.lists(st.sampled_from([*VALUES, "plain", "string rows"]),
+    columns, plain = [], []
+    for kind in draw(st.lists(st.sampled_from([*VALUES, "plain", "repeat",
+                                               "string rows"]),
                               min_size=1, max_size=4)):
         if kind in VALUES:
             values = draw(VALUES[kind])
             index = draw(st.lists(st.integers(0, len(values) - 1),
                                   min_size=rows, max_size=rows))
             columns.append((np.array(values), np.array(index, dtype=np.intp)))
-        elif kind == "plain":
-            columns.append(np.array(draw(st.lists(st.floats(), min_size=rows,
-                                                  max_size=rows)), dtype=float))
+        elif kind == "repeat" and plain:
+            columns.append(draw(st.sampled_from(plain)))
+        elif kind in ("plain", "repeat"):
+            plain.append(np.array(draw(st.lists(st.floats(), min_size=rows,
+                                                max_size=rows)), dtype=float))
+            columns.append(plain[-1])
         else:
             strings = draw(st.lists(TEXT, min_size=rows, max_size=rows))
             columns.append((np.array(strings, dtype=str), np.arange(rows)))
@@ -182,15 +186,28 @@ def test_indexed_columns_alone_at_zero_and_one_row(rows):
                              (np.array(["x,y", ""]), index))
 
 
-@pytest.mark.parametrize("floats", [1, 3, 5])
+@pytest.mark.parametrize("floats, repeat", [(1, 0), (3, 0), (5, 0), (3, 1)],
+                         ids=["1", "3", "5", "3+repeat"])
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (4, 1)])
-def test_indexed_columns_across_block_edges(floats, blocks, extra):
-    # a block formats about 5 * _BLOCK floats of the plain float columns
+def test_indexed_columns_across_block_edges(floats, repeat, blocks, extra):
+    # a block formats about 5 * _BLOCK floats of the distinct plain float
+    # columns; "3+repeat" passes the array at position 1 again at 4
     rows = blocks * (5 * table._BLOCK // floats) + extra
     rng = np.random.default_rng(rows)
     plain = [rng.standard_normal(rows) * 10.0 ** rng.integers(-50, 20, rows)
              for _ in range(floats)]
     axis = np.array(EDGES)
     labels = np.array(["a;b,0.5", "c,degenerate-mixed", ""])
-    assert_indexed_as_oracle((axis, rng.integers(0, axis.size, rows)), *plain,
-                             (labels, rng.integers(0, labels.size, rows)))
+    columns = [(axis, rng.integers(0, axis.size, rows)), *plain, *plain[:repeat],
+               (labels, rng.integers(0, labels.size, rows))]
+    assert_indexed_as_oracle(*columns)
+    assert len(list(csv_pieces("h", columns))) == 1 + blocks + (extra > 0)
+
+
+def test_one_byte_wide_string_columns():
+    # "S1" fields, one of them NUL in every row
+    index = np.arange(7) % 3
+    assert_indexed_as_oracle((np.array(["+", "0", "-"]), index),
+                             np.linspace(-1.0, 1.0, 7),
+                             (np.array(["", "", ""]), index),
+                             (np.array(["x", "", "y"]), index))
