@@ -146,14 +146,16 @@ def _register_and_weights(cfg):
 
 def _cmd_q_spectrum(cfg) -> Iterable[str]:
     register, weights = _register_and_weights(cfg)
-    states = yangian.q_joint_labels(register, weights)
+    states = [{"S": S, "m": m, "q": float(q), "degenerate": flag}
+              for S, spec, degenerate in yangian.q_sector_spectra(register, weights)
+              for m in multiplets.projections(S)
+              for q, flag in zip(spec.eigenvalues, degenerate)]
     return _json({
         "sites": register.n_sites,
         "weights": weights,
         "eigenvalues": [{"value": value, "multiplicity": count} for value, count
-                        in multiplicities(np.sort([st.q for st in states]))],
-        "states": [{"S": st.S, "m": st.m, "q": st.q,
-                    "degenerate": st.degenerate} for st in states],
+                        in multiplicities(np.sort([st["q"] for st in states]))],
+        "states": states,
     })
 
 

@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * hbar = 1.  All operators are dense complex ``numpy`` arrays.
 * Eigenvector phase: the first component of largest magnitude is made real
   and positive.
-* Site spins (and the multiplet tables of :mod:`spincluster.multiplets`)
-  are built once per register size and shared read-only: copy before
-  writing.
+* Weight-independent products are built once per register size and shared
+  read-only, so copy before writing: site spins, pair products S_i.S_j
+  (:func:`pair_dot`), multiplet tables, branch columns, i S_i x S_j terms.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ def site_spin(register: SpinRegister, site: int) -> VectorOperator:
     built once and shared read-only."""
     single = spin_matrices(0.5)
     return VectorOperator(*read_only(*(embed(register, site, c) for c in single)))
+
+
+@functools.cache
+def pair_dot(register: SpinRegister, i: int, j: int) -> np.ndarray:
+    """S_i.S_j of two sites of the register, built once and shared read-only."""
+    return read_only(site_spin(register, i).dot(site_spin(register, j)))[0]
 
 
 def total_spin(register: SpinRegister) -> VectorOperator:

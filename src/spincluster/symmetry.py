@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .multiplets import mixing_pair
-from .operators import SpinRegister, commutator, hermitian, site_spin
+from .operators import SpinRegister, commutator, hermitian, pair_dot
 from .yangian import build_q
 
 COMMUTANT_SVD_RTOL = 1e-10
@@ -79,11 +79,10 @@ def heisenberg_hamiltonian(register: SpinRegister, couplings) -> np.ndarray:
             f"couplings are for {couplings.n_sites} sites, "
             f"register has {register.n_sites}"
         )
-    spins = [site_spin(register, k) for k in range(register.n_sites)]
     h = np.zeros((register.dim, register.dim), dtype=complex)
     for (i, j), value in couplings.a.items():
         if value != 0.0:
-            h = h + value * spins[i - 1].dot(spins[j - 1])
+            h = h + value * pair_dot(register, i - 1, j - 1)
     return h
 
 
@@ -99,12 +98,8 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFa
     of the largest count as zero."""
     hermitian(q_matrix)
     pairs = pair_order(register.n_sites)
-    spins = [site_spin(register, k) for k in range(register.n_sites)]
-    columns = []
-    for i, j in pairs:
-        h_ij = spins[i - 1].dot(spins[j - 1])
-        columns.append(commutator(q_matrix, h_ij).ravel())
-    m = np.column_stack(columns)
+    m = np.column_stack([commutator(q_matrix, pair_dot(register, i - 1, j - 1)).ravel()
+                         for i, j in pairs])
     _, sv, vh = np.linalg.svd(m, full_matrices=False)
     rank = int(np.sum(sv > COMMUTANT_SVD_RTOL * sv[0]))
     basis = []

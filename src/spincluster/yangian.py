@@ -21,19 +21,21 @@ comparison; the two differ only in documented off-diagonal positions
 and agree at u = 0.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .multiplets import LabeledState, branches, multiplet_table, projections
+from .multiplets import branches, multiplet_table
 from .operators import (
     SpinRegister,
     VectorOperator,
     commutator,
     cross,
-    fix_phase,
     hermitian_eig,
+    pair_dot,
+    read_only,
     scalar_triple,
     site_spin,
     total_spin,
@@ -56,17 +58,26 @@ def _check_weights(n_sites: int, weights) -> np.ndarray:
     return u
 
 
+@functools.cache
+def _pair_crosses(register: SpinRegister) -> np.ndarray:
+    """i (S_i x S_j)_a indexed [pair, a], pairs i < j in order, built once
+    and shared read-only."""
+    spins = [site_spin(register, k) for k in range(register.n_sites)]
+    return read_only(np.array([1j * np.array(cross(spins[i], spins[j]))
+                               for i in range(register.n_sites)
+                               for j in range(i + 1, register.n_sites)]))[0]
+
+
 def build_yangian(register: SpinRegister, weights) -> VectorOperator:
     """Vector charge Y = sum_k u_k S_k + i sum_{i<j} S_i x S_j."""
     u = _check_weights(register.n_sites, weights)
     spins = [site_spin(register, k) for k in range(register.n_sites)]
-    crosses = [cross(spins[i], spins[j]) for i in range(register.n_sites)
-               for j in range(i + 1, register.n_sites)]
+    crosses = _pair_crosses(register)
     comps = []
     for axis in range(3):
         term = sum(u[k] * spins[k][axis] for k in range(register.n_sites))
         for pair in crosses:
-            term = term + 1j * pair[axis]
+            term = term + pair[axis]
         comps.append(term)
     return VectorOperator(*comps)
 
@@ -127,8 +138,8 @@ def expanded_q(register: SpinRegister, weights) -> np.ndarray:
 
 def _expanded_q3(register: SpinRegister, u: np.ndarray) -> np.ndarray:
     s = [site_spin(register, k) for k in range(3)]
-    s2 = [s[k].dot(s[k]) for k in range(3)]
-    d12, d23, d13 = s[0].dot(s[1]), s[1].dot(s[2]), s[0].dot(s[2])
+    s2 = [pair_dot(register, k, k) for k in range(3)]
+    d12, d23, d13 = (pair_dot(register, i, j) for i, j in ((0, 1), (1, 2), (0, 2)))
     dsum = d12 + d23 + d13
     out = sum(u[k] ** 2 * s2[k] for k in range(3))
     out = out + 2 * (u[0] * u[1] * d12 + u[1] * u[2] * d23 + u[0] * u[2] * d13)
@@ -143,11 +154,8 @@ def _expanded_q3(register: SpinRegister, u: np.ndarray) -> np.ndarray:
 
 def _expanded_q4(register: SpinRegister, u: np.ndarray) -> np.ndarray:
     s = [site_spin(register, k) for k in range(4)]
-    s2 = [s[k].dot(s[k]) for k in range(4)]
-    d = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d[i, j] = s[i].dot(s[j])
+    s2 = [pair_dot(register, k, k) for k in range(4)]
+    d = {(i, j): pair_dot(register, i, j) for i in range(4) for j in range(i + 1, 4)}
     dsum = sum(d.values())
     out = sum(u[k] ** 2 * s2[k] for k in range(4))
     out = out + 2 * sum(u[i] * u[j] * d[i, j] for (i, j) in d)
@@ -177,8 +185,10 @@ def _expanded_q4(register: SpinRegister, u: np.ndarray) -> np.ndarray:
 # sector action matrices
 
 
+@functools.cache
 def _branch_columns(register: SpinRegister, S: float, m: float) -> np.ndarray:
-    return np.column_stack([br.member(m) for br in branches(register, S)])
+    """The spin-S branches' m members as columns, built once, read-only."""
+    return read_only(np.column_stack([br.member(m) for br in branches(register, S)]))[0]
 
 
 def numeric_action_block(register: SpinRegister, weights, S: float, m: float) -> np.ndarray:
@@ -285,16 +295,10 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 def _level_zero_residual(y: VectorOperator, total: VectorOperator) -> float:
     """Max defect of [I_a, I_b] = i eps_abc I_c and [I_a, Y_b] = i eps_abc Y_c."""
-    worst = 0.0
-    for a in range(3):
-        for b in range(3):
-            want_i = sum(1j * _EPS[a, b, c] * total[c] for c in range(3))
-            want_y = sum(1j * _EPS[a, b, c] * y[c] for c in range(3))
-            worst = max(worst, float(np.max(np.abs(
-                commutator(total[a], total[b]) - want_i))))
-            worst = max(worst, float(np.max(np.abs(
-                commutator(total[a], y[b]) - want_y))))
-    return worst
+    spin = np.array(total)[:, None]  # I_a, broadcast over b: all (a, b) at once
+    return max(float(np.max(np.abs(spin @ ops - ops @ spin
+                                   - 1j * np.einsum("abc,cij->abij", _EPS, ops))))
+               for ops in (np.array(total), np.array(y)))
 
 
 def _serre_fit(y: VectorOperator, total: VectorOperator):
@@ -333,27 +337,19 @@ def check_yangian_axioms(register: SpinRegister, weights) -> AxiomReport:
 
 
 # --------------------------------------------------------------------------
-# joint eigenbasis
+# spin-sector spectra
 
 
-def q_joint_labels(register: SpinRegister, weights) -> list:
-    """Simultaneous eigenbasis of {S^2, S_z, Q} with (S, m, q) labels.
-
-    Requires Hermitian Q (:func:`hermitian_q`).  Q's block over the spin-S
-    branches is the same at every m, so it is diagonalized once, at m = -S,
-    and its eigenvectors are laddered to every m.  States that share a
-    degeneracy group of :func:`hermitian_eig` are flagged degenerate; they
-    span an arbitrary orthonormal choice, the same one at every m.
-    """
+def q_sector_spectra(register: SpinRegister, weights) -> list:
+    """(S, spectrum, degenerate) per spin S, in table order: the
+    :func:`hermitian_eig` of Hermitian Q's (:func:`hermitian_q`) block over
+    the spin-S branches at m = -S, the same block at every m.  Each
+    eigenvalue labels 2S + 1 joint {S^2, S_z, Q} states; ``degenerate[i]``
+    flags one that shares a degeneracy group."""
     q = hermitian_q(register, weights)
-    out = []
+    sectors = []
     for S in dict.fromkeys(mp.S for mp in multiplet_table(register)):
         cols = _branch_columns(register, S, -S)
         spec = hermitian_eig(cols.conj().T @ q @ cols)
-        shared = {idx: len(group) > 1 for group in spec.groups for idx in group}
-        for m in projections(S):
-            states = fix_phase(_branch_columns(register, S, m) @ spec.eigenvectors)
-            out.extend(LabeledState(S, m, float(spec.eigenvalues[idx]),
-                                    states[:, idx], degenerate=shared[idx])
-                       for idx in range(len(spec.eigenvalues)))
-    return out
+        sectors.append((S, spec, [len(g) > 1 for g in spec.groups for _ in g]))
+    return sectors

@@ -20,7 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import spincluster
-from spincluster import yangian
+from spincluster import multiplets, operators, yangian
 from spincluster.cli import main
 from spincluster.dynamics import FieldProfile, RateParams
 from spincluster.spectra import FAMILIES
@@ -137,6 +137,14 @@ def test_q_spectrum_defaults_to_three_sites():
     assert len(doc["states"]) == 8
 
 
+def test_q_spectrum_flags_the_shared_four_site_level():
+    # at u = 0 only q = -1/2 is shared, by two S = 1 levels, at each m
+    states = json.loads(run("q-spectrum", "--sites", "4")[1])["states"]
+    assert [state["degenerate"] for state in states] == [
+        state["S"] == 1.0 and abs(state["q"] + 0.5) < 1e-9 for state in states]
+    assert sum(state["degenerate"] for state in states) == 6
+
+
 def test_q_spectrum_rejects_non_hermitian_weights(tmp_path):
     path = write_cfg(tmp_path, {"sites": 3, "weights": [0.4, 0.9, 0.6]})
     code, _, err = run("q-spectrum", path)
@@ -195,22 +203,34 @@ def test_check_yangian_at_zero_weights():
 def test_q_spectrum_and_check_yangian_build_each_operator_once(monkeypatch,
                                                                 sites):
     calls = dict.fromkeys(("build_yangian", "build_q", "total_spin"), 0)
+    inner = dict.fromkeys(("fix_phase", "cross_component"), 0)
 
-    def counted(name):
-        original = getattr(yangian, name)
+    def count(module, name, tally):
+        original = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            tally[name] += 1
             return original(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in calls:
-        monkeypatch.setattr(yangian, name, counted(name))
+        count(yangian, name, calls)
+    for name in inner:
+        count(operators, name, inner)
     solved, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(len(m)) or eigh(m))
+    yangian._pair_crosses.cache_clear()
     assert run("q-spectrum", "--sites", str(sites))[0] == 0
     assert calls == {"build_yangian": 1, "build_q": 1, "total_spin": 0}
     assert solved and max(solved) < 2 ** sites  # spin-sector blocks only
+    register = operators.SpinRegister(sites)
+    sectors = len({mp.S for mp in multiplets.multiplet_table(register)})
+    # one phase fix per spin sector, never one per m; the first call
+    # fills the shared cross table, one product per pair and axis
+    assert inner == {"fix_phase": sectors, "cross_component": 3 * sites * (sites - 1) // 2}
+    inner.update(dict.fromkeys(inner, 0))
+    assert run("q-spectrum", "--sites", str(sites))[0] == 0
+    assert inner == {"fix_phase": sectors, "cross_component": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert run("check-yangian", "--sites", str(sites))[0] == 0
     assert calls == {"build_yangian": 1, "build_q": 0, "total_spin": 1}

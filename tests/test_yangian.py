@@ -6,20 +6,28 @@ against the direct operator construction over randomized weight
 vectors.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spincluster import yangian
+from spincluster import cli, yangian
 from spincluster.errors import ConfigError
+from spincluster.multiplets import LabeledState, projections
 from spincluster.operators import (
     HERMITICITY_ATOL,
     SpinRegister,
+    commutator,
+    cross,
+    fix_phase,
     hermitian_eig,
     hermiticity_defect,
     multiplicities,
+    pair_dot,
+    site_spin,
     total_spin,
 )
 from spincluster.yangian import (
@@ -34,7 +42,7 @@ from spincluster.yangian import (
     hermitian_q,
     numeric_action_block,
     q_hermiticity_condition,
-    q_joint_labels,
+    q_sector_spectra,
     triple_prefactors,
 )
 
@@ -44,6 +52,21 @@ WEIGHTS = st.floats(min_value=-3.0, max_value=3.0,
 
 def _weights_array(n):
     return arrays(np.float64, (n,), elements=WEIGHTS)
+
+
+def q_joint_labels(register, weights):
+    """Simultaneous eigenbasis of {S^2, S_z, Q} with (S, m, q) labels: each
+    sector's eigenvectors from :func:`q_sector_spectra`, laddered to every m
+    over the branch columns and phase-fixed.  States that share a
+    degeneracy group span an arbitrary orthonormal choice, the same one at
+    every m."""
+    out = []
+    for S, spec, degenerate in q_sector_spectra(register, weights):
+        for m in projections(S):
+            states = fix_phase(yangian._branch_columns(register, S, m) @ spec.eigenvectors)
+            out.extend(LabeledState(S, m, float(q), states[:, idx], degenerate=flag)
+                       for idx, (q, flag) in enumerate(zip(spec.eigenvalues, degenerate)))
+    return out
 
 
 # --- construction and closed-form expansion ---------------------------
@@ -275,6 +298,91 @@ def test_verbatim_mode_differs_off_diagonally():
     gaps = _verbatim_gaps(3, [0.7, 0.2, -0.4])
     assert gaps["doublet"] > 1e-3      # transposed coupling reading
     assert gaps["quartet"] < 1e-14     # diagonal entries agree
+
+
+# --- weight-independent products, built once -----------------------------
+
+def _yangian_oracle(register, u):
+    """Y with its cross terms built per call: the reference for the shared
+    cross table, which must give the same bits."""
+    spins = [site_spin(register, k) for k in range(register.n_sites)]
+    crosses = [cross(spins[i], spins[j]) for i in range(register.n_sites)
+               for j in range(i + 1, register.n_sites)]
+    comps = []
+    for axis in range(3):
+        term = sum(u[k] * spins[k][axis] for k in range(register.n_sites))
+        for pair in crosses:
+            term = term + 1j * pair[axis]
+        comps.append(term)
+    return comps
+
+
+def _level_zero_oracle(y, total):
+    """The level-zero residual as one commutator per (a, b) pair."""
+    eps = yangian._EPS
+    worst = 0.0
+    for a in range(3):
+        for b in range(3):
+            want_i = sum(1j * eps[a, b, c] * total[c] for c in range(3))
+            want_y = sum(1j * eps[a, b, c] * y[c] for c in range(3))
+            worst = max(worst, float(np.max(np.abs(
+                commutator(total[a], total[b]) - want_i))))
+            worst = max(worst, float(np.max(np.abs(
+                commutator(total[a], y[b]) - want_y))))
+    return worst
+
+
+@seed(108)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.data())
+def test_shared_products_are_read_only_and_bit_equal(n_sites, data):
+    register = SpinRegister(n_sites)
+    for i in range(n_sites):
+        for j in range(i + 1, n_sites):
+            dot = pair_dot(register, i, j)
+            assert dot is pair_dot(SpinRegister(n_sites), i, j)
+            assert np.array_equal(dot, site_spin(register, i).dot(site_spin(register, j)))
+            with pytest.raises(ValueError):
+                dot[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        yangian._pair_crosses(register)[0, 0, 0, 0] = 1.0
+    for S in dict.fromkeys(mp.S for mp in yangian.multiplet_table(register)):
+        for m in projections(S):
+            with pytest.raises(ValueError):
+                yangian._branch_columns(register, S, m)[0, 0] = 1.0
+    u = data.draw(_weights_array(n_sites))
+    for got, want in zip(build_yangian(register, u), _yangian_oracle(register, u)):
+        assert np.array_equal(got, want)
+
+
+@seed(109)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.data())
+def test_batched_level_zero_residual_is_the_pairwise_one(n_sites, data):
+    register = SpinRegister(n_sites)
+    y = build_yangian(register, data.draw(_weights_array(n_sites)))
+    total = total_spin(register)
+    assert yangian._level_zero_residual(y, total) == _level_zero_oracle(y, total)
+
+
+_HERMITIAN_WEIGHTS = st.one_of(
+    _weights_array(2),
+    st.tuples(WEIGHTS, WEIGHTS).map(lambda p: np.array([p[0], p[1], p[1] - p[0]])),
+    st.just(np.zeros(4)),
+)
+
+
+@seed(110)
+@settings(max_examples=30, deadline=None)
+@given(_HERMITIAN_WEIGHTS)
+def test_q_spectrum_states_are_the_laddered_labels(u):
+    register = SpinRegister(len(u))
+    text = "".join(cli._cmd_q_spectrum({"sites": len(u), "weights": u.tolist()}))
+    rows = [(state.S, state.m, state.q.hex(), state.degenerate)
+            for state in q_joint_labels(register, u)]
+    printed = [(state["S"], state["m"], state["q"].hex(), state["degenerate"])
+               for state in json.loads(text)["states"]]
+    assert printed == rows
 
 
 def test_level_zero_does_not_depend_on_weights_shift():
