@@ -147,9 +147,9 @@ def _register_and_weights(cfg):
 def _cmd_q_spectrum(cfg) -> Iterable[str]:
     register, weights = _register_and_weights(cfg)
     states = [{"S": S, "m": m, "q": float(q), "degenerate": flag}
-              for S, spec, degenerate in yangian.q_sector_spectra(register, weights)
+              for S, values, degenerate in yangian.q_sector_spectra(register, weights)
               for m in multiplets.projections(S)
-              for q, flag in zip(spec.eigenvalues, degenerate)]
+              for q, flag in zip(values, degenerate)]
     return _json({
         "sites": register.n_sites,
         "weights": weights,

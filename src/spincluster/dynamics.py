@@ -86,6 +86,8 @@ class FieldProfile:
                 raise ConfigError(f"{name} must be finite")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end must exceed t_start")
+        if not np.isfinite(float(self.t_end) - float(self.t_start)):
+            raise ConfigError("t_end - t_start must be finite")
 
     def field(self, t):
         """B(t); a float for a scalar t, an array for an array of times."""

@@ -1,10 +1,12 @@
 """Total-spin multiplet bases, and the one table of closed-form levels.
 
-Each multiplet is generated by laddering S_+ up from a seed state at
-m = -S, so Condon-Shortley phases are consistent across m by construction.
-Repeated irreps at the same S are distinguished by a branch index ``k``
-whose seed order is fixed here and relied on by the operator-action
-formulas in :mod:`spincluster.yangian`.
+:func:`branch_columns` is the one form of the multiplet basis: the m
+members of the spin-S branches, one column each.  At m = -S they are seed
+states; each higher m is laddered up from m - 1 by S_+, so Condon-Shortley
+phases are consistent across m by construction.  Repeated irreps at the
+same S are columns in a seed order that is fixed here and relied on by the
+operator-action formulas in :mod:`spincluster.yangian`.  :func:`sectors`
+lists the distinct S.
 
 :data:`LEVELS` is the only definition of a closed-form level of the 3- and
 4-site coupling families; :func:`invariant_eigenstates`,
@@ -91,20 +93,6 @@ LEVELS = {
 }
 
 
-@dataclass(frozen=True)
-class SpinMultiplet:
-    """One total-spin multiplet: branch ``k`` of spin ``S`` with members by m."""
-
-    S: float
-    k: int
-    vectors: dict  # m -> state vector
-
-    def member(self, m: float) -> np.ndarray:
-        if m not in self.vectors:
-            raise ConfigError(f"m = {m} is not a valid projection for S = {self.S}")
-        return self.vectors[m]
-
-
 @dataclass
 class LabeledState:
     """A joint eigenvector with its (S, m, q) labels."""
@@ -116,40 +104,29 @@ class LabeledState:
     degenerate: bool = False
 
 
-def _ladder_up(register: SpinRegister, seed: np.ndarray, S: float) -> dict:
-    tot = total_spin(register)
-    raising = tot.x + 1j * tot.y
-    members = {-S: seed}
-    vec, m = seed, -S
-    while m < S - 0.5:
-        amp = np.sqrt(S * (S + 1) - m * (m + 1))
-        vec = raising @ vec / amp
-        m += 1.0
-        members[m] = vec
-    read_only(*members.values())
-    return members
-
-
 @functools.cache
-def multiplet_table(register: SpinRegister) -> tuple:
-    """All total-spin multiplets of the register, ladder-consistent in m,
-    built once and shared read-only."""
-    table = []
-    branch_count: dict = {}
-    for S, terms in _SEEDS[register.n_sites]:
-        k = branch_count.get(S, 0)
-        branch_count[S] = k + 1
-        seed = superposition(register, terms)
-        table.append(SpinMultiplet(S, k, _ladder_up(register, seed, S)))
-    return tuple(table)
-
-
-def branches(register: SpinRegister, S: float) -> list:
-    """The register's spin-S multiplets, in seed order."""
-    found = [mp for mp in multiplet_table(register) if mp.S == S]
-    if not found:
+def branch_columns(register: SpinRegister, S: float, m: float) -> np.ndarray:
+    """The spin-S branches' m members as columns, in seed order, built once
+    and shared read-only: the seed superpositions at m = -S, each higher m
+    laddered up from m - 1 by S_+."""
+    if S not in sectors(register):
         raise ConfigError(f"no S = {S} multiplet in {register.n_sites} spins-1/2")
-    return found
+    if m not in projections(S):
+        raise ConfigError(f"m = {m} is not a valid projection for S = {S}")
+    if m == -S:
+        cols = np.column_stack([superposition(register, terms)
+                                for spin, terms in _SEEDS[register.n_sites]
+                                if spin == S])
+    else:
+        tot, below = total_spin(register), m - 1.0
+        amp = np.sqrt(S * (S + 1) - below * (below + 1))
+        cols = (tot.x + 1j * tot.y) @ branch_columns(register, S, below) / amp
+    return read_only(cols)[0]
+
+
+def sectors(register: SpinRegister) -> tuple:
+    """The register's distinct total spins S, in seed order."""
+    return tuple(dict.fromkeys(S for S, _ in _SEEDS[register.n_sites]))
 
 
 def projections(S: float) -> list:
@@ -165,8 +142,7 @@ def _levels(register: SpinRegister) -> tuple:
 
 def _combination(register: SpinRegister, row: LevelRow, m: float) -> np.ndarray:
     """The row's state at m, before its phase is fixed."""
-    terms = [c * br.member(m) for c, br in zip(row.state, branches(register, row.S))]
-    return sum(terms[1:], terms[0])
+    return branch_columns(register, row.S, m) @ np.array(row.state)
 
 
 def level_state(register: SpinRegister, label: str, m: float) -> np.ndarray:
@@ -187,7 +163,7 @@ def invariant_eigenstates(register: SpinRegister) -> list:
     rows = _levels(register)
     keys = [(row.S, row.q) for row in rows]
     states = []
-    for S in dict.fromkeys(S for S, _ in _SEEDS[register.n_sites]):
+    for S in sectors(register):
         for m in projections(S):
             states.extend(
                 LabeledState(S, m, row.q, fix_phase(_combination(register, row, m)),

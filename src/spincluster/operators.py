@@ -8,17 +8,17 @@ Conventions used throughout the package:
   bits.  Bit value 0 means "up" (+1/2 of ``S_z``), 1 means "down".
   Example (n = 3): ``|up,down,down>`` is basis index 3.
 * hbar = 1.  All operators are dense complex ``numpy`` arrays.
-* Eigenvector phase: the first component of largest magnitude is made real
-  and positive.
+* :func:`hermitian_eig` returns eigenvalues only.  A state's phase
+  (:func:`fix_phase`): its first largest-magnitude entry is real positive.
 * Weight-independent products are built once per register size and shared
   read-only, so copy before writing: site spins, pair products S_i.S_j
-  (:func:`pair_dot`), multiplet tables, branch columns, i S_i x S_j terms.
+  (:func:`pair_dot`), multiplet branch columns, i S_i x S_j terms.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -177,20 +177,6 @@ def fix_phase(vecs: np.ndarray) -> np.ndarray:
                             where=size != 0)
 
 
-@dataclass
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` ascend; ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``
-    and carries the package phase convention.  ``groups`` lists index runs
-    whose eigenvalues agree within the grouping tolerance.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    groups: list = field(default_factory=list)
-
-
 def degeneracy_groups(values: np.ndarray) -> list:
     """Index runs of ascending values whose neighbours lie within
     DEGENERACY_GTOL * max(1, max |value|) of each other: the one
@@ -229,8 +215,7 @@ def hermitian(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def hermitian_eig(matrix: np.ndarray) -> Spectrum:
-    """Diagonalize the Hermitian part of a matrix that passes
-    :func:`hermitian`, and group its levels by :func:`degeneracy_groups`."""
-    vals, vecs = np.linalg.eigh((hermitian(matrix) + matrix.conj().T) / 2)
-    return Spectrum(vals, fix_phase(vecs), degeneracy_groups(vals))
+def hermitian_eig(matrix: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of the Hermitian part of a matrix that
+    passes :func:`hermitian`."""
+    return np.linalg.eigvalsh((hermitian(matrix) + matrix.conj().T) / 2)

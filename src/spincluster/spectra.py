@@ -139,7 +139,7 @@ def hamiltonian(family: str, x: float, y: float) -> np.ndarray:
 
 def closed_form_defect(family: str, x: float, y: float) -> float:
     """Max gap between sorted closed-form and numeric eigenvalues."""
-    numeric = hermitian_eig(hamiltonian(family, x, y)).eigenvalues
+    numeric = hermitian_eig(hamiltonian(family, x, y))
     return float(np.max(np.abs(levels(family, x, y).expanded() - numeric)))
 
 

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .multiplets import branches, multiplet_table
+from .multiplets import branch_columns, sectors
 from .operators import (
     SpinRegister,
     VectorOperator,
     commutator,
     cross,
+    degeneracy_groups,
     hermitian_eig,
     pair_dot,
     read_only,
@@ -185,16 +186,10 @@ def _expanded_q4(register: SpinRegister, u: np.ndarray) -> np.ndarray:
 # sector action matrices
 
 
-@functools.cache
-def _branch_columns(register: SpinRegister, S: float, m: float) -> np.ndarray:
-    """The spin-S branches' m members as columns, built once, read-only."""
-    return read_only(np.column_stack([br.member(m) for br in branches(register, S)]))[0]
-
-
 def numeric_action_block(register: SpinRegister, weights, S: float, m: float) -> np.ndarray:
     """<branch_a, m| Q |branch_b, m> over the laddered branches of spin S."""
     q = build_q(register, weights)
-    cols = _branch_columns(register, S, m)
+    cols = branch_columns(register, S, m)
     return cols.conj().T @ q @ cols
 
 
@@ -203,7 +198,7 @@ def action_blocks(n_sites: int, weights, mode: str = "derived") -> dict:
 
     Keys: ``"quartet"``/``"doublet"`` for three sites;
     ``"quintet"``/``"triplet"``/``"singlet"`` for four.  Matrices act on
-    the laddered branch order of :func:`spincluster.multiplets.branches`
+    the laddered branch order of :func:`spincluster.multiplets.branch_columns`
     and are m-independent.
 
     mode="derived" matches :func:`numeric_action_block` in every entry.
@@ -341,15 +336,16 @@ def check_yangian_axioms(register: SpinRegister, weights) -> AxiomReport:
 
 
 def q_sector_spectra(register: SpinRegister, weights) -> list:
-    """(S, spectrum, degenerate) per spin S, in table order: the
-    :func:`hermitian_eig` of Hermitian Q's (:func:`hermitian_q`) block over
-    the spin-S branches at m = -S, the same block at every m.  Each
-    eigenvalue labels 2S + 1 joint {S^2, S_z, Q} states; ``degenerate[i]``
-    flags one that shares a degeneracy group."""
+    """(S, values, degenerate) per spin S, in seed order: the ascending
+    :func:`hermitian_eig` values of Hermitian Q's (:func:`hermitian_q`)
+    block over the spin-S branches at m = -S, the same block at every m.
+    Each value labels 2S + 1 joint {S^2, S_z, Q} states; ``degenerate[i]``
+    flags one that shares a :func:`degeneracy_groups` group."""
     q = hermitian_q(register, weights)
-    sectors = []
-    for S in dict.fromkeys(mp.S for mp in multiplet_table(register)):
-        cols = _branch_columns(register, S, -S)
-        spec = hermitian_eig(cols.conj().T @ q @ cols)
-        sectors.append((S, spec, [len(g) > 1 for g in spec.groups for _ in g]))
-    return sectors
+    spectra = []
+    for S in sectors(register):
+        cols = branch_columns(register, S, -S)
+        values = hermitian_eig(cols.conj().T @ q @ cols)
+        spectra.append((S, values, [len(g) > 1 for g in degeneracy_groups(values)
+                                    for _ in g]))
+    return spectra

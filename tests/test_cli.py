@@ -217,20 +217,21 @@ def test_q_spectrum_and_check_yangian_build_each_operator_once(monkeypatch,
         count(yangian, name, calls)
     for name in inner:
         count(operators, name, inner)
-    solved, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(len(m)) or eigh(m))
+    solved, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: solved.append(len(m)) or eigvalsh(m))
     yangian._pair_crosses.cache_clear()
     assert run("q-spectrum", "--sites", str(sites))[0] == 0
     assert calls == {"build_yangian": 1, "build_q": 1, "total_spin": 0}
     assert solved and max(solved) < 2 ** sites  # spin-sector blocks only
-    register = operators.SpinRegister(sites)
-    sectors = len({mp.S for mp in multiplets.multiplet_table(register)})
-    # one phase fix per spin sector, never one per m; the first call
-    # fills the shared cross table, one product per pair and axis
-    assert inner == {"fix_phase": sectors, "cross_component": 3 * sites * (sites - 1) // 2}
+    sectors = len(multiplets.sectors(operators.SpinRegister(sites)))
+    assert len(solved) == sectors  # one eigenvalue solve per spin sector
+    # no eigenvector is phase-fixed: only eigenvalues are printed; the first
+    # call fills the shared cross table, one product per pair and axis
+    assert inner == {"fix_phase": 0, "cross_component": 3 * sites * (sites - 1) // 2}
     inner.update(dict.fromkeys(inner, 0))
     assert run("q-spectrum", "--sites", str(sites))[0] == 0
-    assert inner == {"fix_phase": sectors, "cross_component": 0}
+    assert inner == {"fix_phase": 0, "cross_component": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert run("check-yangian", "--sites", str(sites))[0] == 0
     assert calls == {"build_yangian": 1, "build_q": 0, "total_spin": 1}
@@ -308,6 +309,14 @@ def test_other_family_couplings_are_config_errors(tmp_path, command, payload,
                                                   message):
     code, out, err = run(command, write_cfg(tmp_path, payload))
     assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["linear_ramp", "sinusoid", "constant"])
+def test_simulate_rejects_an_overflowing_time_span(tmp_path, kind):
+    path = write_cfg(tmp_path, {"field": {"kind": kind, "t_start": -1e308,
+                                          "t_end": 1e308}})
+    code, out, err = run("simulate", path)
+    assert (code, out, err) == (2, "", "config error: t_end - t_start must be finite\n")
 
 
 def test_moments_rejects_invalid_projection(tmp_path):

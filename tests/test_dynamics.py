@@ -767,6 +767,16 @@ def test_rate_params_name_a_numpy_non_finite_value_plainly(value, text):
             RateParams(**{name: value})
 
 
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("t_start, t_end", [
+    (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)), (-2e307, 1.7e308)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_field_profile_rejects_an_overflowing_span(kind, t_start, t_end):
+    # each end is finite but the span is not: h would be inf and B(t) NaN
+    with pytest.raises(ConfigError, match=r"^t_end - t_start must be finite$"):
+        FieldProfile(kind=kind, t_start=t_start, t_end=t_end)
+
+
 def test_rate_params_validation():
     with pytest.raises(ConfigError):
         RateParams(A=-1.0)

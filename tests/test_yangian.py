@@ -16,13 +16,14 @@ from hypothesis.extra.numpy import arrays
 
 from spincluster import cli, yangian
 from spincluster.errors import ConfigError
-from spincluster.multiplets import LabeledState, projections
+from spincluster.multiplets import LabeledState, branch_columns, projections, sectors
 from spincluster.operators import (
     HERMITICITY_ATOL,
     SpinRegister,
     commutator,
     cross,
     fix_phase,
+    hermitian,
     hermitian_eig,
     hermiticity_defect,
     multiplicities,
@@ -56,16 +57,21 @@ def _weights_array(n):
 
 def q_joint_labels(register, weights):
     """Simultaneous eigenbasis of {S^2, S_z, Q} with (S, m, q) labels: each
-    sector's eigenvectors from :func:`q_sector_spectra`, laddered to every m
-    over the branch columns and phase-fixed.  States that share a
-    degeneracy group span an arbitrary orthonormal choice, the same one at
-    every m."""
+    sector's values and flags from :func:`q_sector_spectra`, its
+    eigenvectors from ``eigh`` of the Hermitian part of the same gated block
+    at m = -S, laddered to every m over the branch columns and phase-fixed.  States that share a degeneracy
+    group span an arbitrary orthonormal choice, the same one at every m."""
+    spectra = q_sector_spectra(register, weights)
+    q_op = hermitian_q(register, weights)
     out = []
-    for S, spec, degenerate in q_sector_spectra(register, weights):
+    for S, values, degenerate in spectra:
+        cols = branch_columns(register, S, -S)
+        block = hermitian(cols.conj().T @ q_op @ cols)
+        _, vectors = np.linalg.eigh((block + block.conj().T) / 2)
         for m in projections(S):
-            states = fix_phase(yangian._branch_columns(register, S, m) @ spec.eigenvectors)
+            states = fix_phase(branch_columns(register, S, m) @ vectors)
             out.extend(LabeledState(S, m, float(q), states[:, idx], degenerate=flag)
-                       for idx, (q, flag) in enumerate(zip(spec.eigenvalues, degenerate)))
+                       for idx, (q, flag) in enumerate(zip(values, degenerate)))
     return out
 
 
@@ -141,8 +147,8 @@ def test_triple_prefactors_four_sites():
 # --- spectra and labels ------------------------------------------------
 
 def _full_spectrum(n_sites):
-    spec = hermitian_eig(hermitian_q(SpinRegister(n_sites), np.zeros(n_sites)))
-    return [(round(v, 10), k) for v, k in multiplicities(spec.eigenvalues)]
+    values = hermitian_eig(hermitian_q(SpinRegister(n_sites), np.zeros(n_sites)))
+    return [(round(v, 10), k) for v, k in multiplicities(values)]
 
 
 def test_three_site_spectrum_at_zero_weights():
@@ -190,7 +196,7 @@ def test_joint_labels_diagonalize_each_spin_sector_once(monkeypatch, n_sites,
 
     for name in calls:
         monkeypatch.setattr(yangian, name, counted(name))
-    q_joint_labels(SpinRegister(n_sites), np.zeros(n_sites))
+    q_sector_spectra(SpinRegister(n_sites), np.zeros(n_sites))
     assert calls == {"build_q": 1, "hermitian_eig": sectors}
 
 
@@ -346,10 +352,10 @@ def test_shared_products_are_read_only_and_bit_equal(n_sites, data):
                 dot[0, 0] = 1.0
     with pytest.raises(ValueError):
         yangian._pair_crosses(register)[0, 0, 0, 0] = 1.0
-    for S in dict.fromkeys(mp.S for mp in yangian.multiplet_table(register)):
+    for S in sectors(register):
         for m in projections(S):
             with pytest.raises(ValueError):
-                yangian._branch_columns(register, S, m)[0, 0] = 1.0
+                branch_columns(register, S, m)[0, 0] = 1.0
     u = data.draw(_weights_array(n_sites))
     for got, want in zip(build_yangian(register, u), _yangian_oracle(register, u)):
         assert np.array_equal(got, want)
