@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
-from .operators import hermitian, read_only, spin_matrices
+from .operators import hermitian, read_only
 from .table import csv_pieces
 
 DETAILED_BALANCE_RTOL = 1e-12
@@ -39,7 +39,6 @@ LEVEL_ZERO_COUNT_ATOL = 1e-9  # times max(1, max |level|) at each field
 INVARIANT_LEVEL_ATOL = 1e-9   # times max(1, max |level|) at each field
 _EXP_UNDERFLOW = -700.0
 _COEFF_BLOCK = 4096  # RK4 steps per coefficient evaluation; bounds memory
-_FIELD_BLOCK = 4096  # field points per stacked 9x9 eigvalsh; bounds memory
 
 LEVELS = ("+", "0", "-")
 _N_OF = {"+": 1.0, "0": 0.0, "-": -1.0}
@@ -123,12 +122,12 @@ def transition_rate(A: float, inv_temp: float, delta):
 
 
 def level_transition_rates(scale, params: RateParams) -> dict:
-    """All six W_{NN'} for the ladder E_N = scale*N (scale may be an array)."""
-    rates = {}
-    for a, b in LEVEL_PAIRS:
-        delta = scale * (_N_OF[a] - _N_OF[b])
-        rates[(a, b)] = transition_rate(params.A, params.inv_temp, delta)
-    return rates
+    """All six W_{NN'} for the ladder E_N = scale*N (scale may be an array),
+    from its four deltas: (+,0) shares one with (0,-), (-,0) with (0,+)."""
+    steps = {(a, b): _N_OF[a] - _N_OF[b] for a, b in LEVEL_PAIRS}
+    rates = {step: transition_rate(params.A, params.inv_temp, scale * step)
+             for step in set(steps.values())}
+    return {pair: rates[step] for pair, step in steps.items()}
 
 
 class RateCoefficients(NamedTuple):
@@ -240,10 +239,11 @@ def _apply(a, b):
                      a00 * w0 + a01 * w1, a10 * w0 + a11 * w1])
 
 
-def _rk4_step_maps(d_node, d_half, h: float):
+def _rk4_step_maps(d, h: float):
     """Each RK4 step as y_{i+1} = y_i + D_i·y_i + v_i, rows (D, v), from the
-    derivative maps at the nodes (one more than steps) and half-nodes.
+    derivative maps at the nodes (one more than steps), then the half-nodes.
     Keeping the identity out keeps D's digits when h·D is small."""
+    d_node, d_half = np.split(d, [(d.shape[1] + 1) // 2], axis=1)
     k1 = d_node[:, :-1]
     k2 = d_half + 0.5 * h * _apply(d_half, k1)
     k3 = d_half + 0.5 * h * _apply(d_half, k2)
@@ -303,8 +303,8 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
         y[:, 0] = _initial_state(init, level_scale(b_nodes[0]), params)
         for start in range(0, n_steps, _COEFF_BLOCK):
             stop = min(start + _COEFF_BLOCK, n_steps)
-            maps = _rk4_step_maps(derivative(b_nodes[start:stop + 1]),
-                                  derivative(b_half[start:stop]), h)
+            maps = _rk4_step_maps(derivative(np.concatenate(
+                [b_nodes[start:stop + 1], b_half[start:stop]])), h)
             for shift in (2 ** k for k in range((stop - start - 1).bit_length())):
                 later, earlier = maps[:, shift:], maps[:, :-shift]
                 maps[:, shift:] = later + earlier + _apply(later, earlier)
@@ -366,25 +366,29 @@ def lzs_eigenvectors(beta: float) -> np.ndarray:
     return np.column_stack([v_minus, v_zero, v_plus])
 
 
+# The joint eigenbasis of the exchange parity C = swap * exp(i pi S^z_tot)
+# and the flip Gamma = F (x) F (F: m -> -m) of two spin-1 moments, as signs
+# over the kets |m1 m2> at 3 (1 - m1) + 1 - m2: Gamma = +1, then -1, C = +1 first.
+_PAIR_BASIS = np.array([[(c == "+") - (c == "-") for c in row] for row in (
+    "+0000000+ 0000+0000 00+000+00 0+0-0-0+0 0+0+0+0+0 "
+    "+0000000- 0+0-0+0-0 00+000-00 0+0+0-0-0").split()], dtype=float)
+
+
 @functools.cache
 def _spin1_pair_terms():
-    """The Zeeman sum Lz + Rz and the y-cross term (L x R)_y = Lz Rx - Lx Rz
-    of two spin-1 moments as real read-only 9x9 matrices, gated once: both
-    are exactly symmetric, so every b * Zeeman + delta_gap * cross is too."""
-    sx, _, sz = (op.real for op in spin_matrices(1.0))  # S^y alone is complex
-    eye = np.eye(3)
-    (lx, rx), (lz, rz) = ((np.kron(op, eye), np.kron(eye, op)) for op in (sx, sz))
-    return read_only(*hermitian(np.stack([lz + rz, lz @ rx - lx @ rz])))
-
-
-def coupled_spin1_hamiltonian(B, delta_gap: float,
-                              gamma: float = 1.0) -> np.ndarray:
-    """Two exchange-locked moments: Zeeman term plus y-component of the
-    antisymmetric coupling, on the 3x3 product space of two spin-1's.
-    An array of fields gives a stack of 9x9 matrices, one per field."""
-    zeeman, cross = _spin1_pair_terms()
-    b_eff = gamma * np.asarray(B, dtype=float)
-    return b_eff[..., None, None] * zeeman + delta_gap * cross
+    """The Zeeman sum Lz + Rz and the y-cross term Lz Rx - Lx Rz of two
+    spin-1 moments as read-only 5x4 blocks from Gamma = -1 to +1, gated once:
+    all else is 0, as is each entry between C = +1 and C = -1."""
+    sz, sx = np.diag([1.0, 0.0, -1.0]), np.eye(3, k=1) + np.eye(3, k=-1)
+    norms = np.sum(_PAIR_BASIS ** 2, axis=1)  # squared; sx is sqrt(2) S^x (k = 2)
+    zeeman, cross = (_PAIR_BASIS @ term @ _PAIR_BASIS.T / np.sqrt(k * np.outer(norms, norms))
+                     for term, k in ((np.kron(sz, np.eye(3)) + np.kron(np.eye(3), sz), 1.0),
+                                     (np.kron(sz, sx) - np.kron(sx, sz), 2.0)))
+    blocks = np.zeros((9, 9), dtype=bool)
+    blocks[:4, 5:7] = blocks[5:7, :4] = blocks[4, 7:] = blocks[7:, 4] = True
+    if np.any(zeeman[~blocks]) or np.any(cross[~blocks]):
+        raise NumericalCheckError("the (C, Gamma) basis does not block the pair")
+    return read_only(zeeman[:5, 5:], cross[:5, 5:])
 
 
 def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray, delta_gap: float):
@@ -461,23 +465,27 @@ def coupled_levels_report(B_grid, delta_gap: float,
 
     Asserts only the robust pieces - at least three zero eigenvalues
     and the +-sqrt((gamma*B)^2+delta_gap^2) pair - and reports the rest.
-    Real symmetric, eigenvalues only: ``_FIELD_BLOCK`` points per eigvalsh.
+    In the basis of ``_spin1_pair_terms`` each 9x9 is [[0, M], [M^T, 0]]:
+    its levels are 0 three times and +-the singular values of M.
     """
     b_grid = np.asarray(B_grid, dtype=float).reshape(-1)
     if b_grid.size == 0:
         raise ConfigError("empty field grid")
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+    zeeman, cross = _spin1_pair_terms()
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected or gated here
         b_eff = gamma * b_grid
-    if not (np.all(np.isfinite(b_eff)) and math.isfinite(delta_gap)):
-        raise ConfigError(
-            "levels report needs finite fields, gamma*B and delta_gap")
-    numeric = np.empty((b_grid.size, 9))
-    for start in range(0, b_grid.size, _FIELD_BLOCK):
-        block = slice(start, start + _FIELD_BLOCK)
-        stack = coupled_spin1_hamiltonian(b_grid[block], delta_gap, gamma)
-        if not np.isfinite(stack).all():  # overflowed: its bound is NaN
-            hermitian(stack)
-        numeric[block] = np.linalg.eigvalsh(stack)
+        if not (np.all(np.isfinite(b_eff)) and math.isfinite(delta_gap)):
+            raise ConfigError("levels report needs finite fields, gamma*B and delta_gap")
+        block = b_eff[:, None, None] * zeeman + delta_gap * cross
+        plus, minus = block[:, :4, :2], block[:, 4, 2:]
+        # each C = +1 block scaled to 1: a Gram matrix never overflows
+        scale = np.max(np.abs(plus), axis=(1, 2))
+        unit = plus / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+        gram = hermitian(np.swapaxes(unit, 1, 2) @ unit)
+    sigma = scale[:, None] * np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
+    m = np.sort(np.column_stack([np.hypot(*minus.T), sigma]), axis=1)
+    # 0.0 - m, not -m: a level of magnitude +0.0 prints as 0, never -0
+    numeric = np.concatenate([0.0 - m[:, ::-1], np.zeros_like(m), m], axis=1)
     # math.hypot: np.hypot may take a SIMD path that differs in the last bit
     omega = np.array([math.hypot(value, delta_gap) for value in b_eff.tolist()])
     printed, corrected, any_imag = _nine_level_closed_forms(b_eff, omega, delta_gap)

@@ -74,6 +74,11 @@ def _significand(x):
 
 def _float_fields(x):
     """(_WIDTH, x.size) uint8: the NUL-padded ``"%.17g"`` bytes of x."""
+    if np.count_nonzero(x) < x.size:  # a zero is "0" or "-0": no digits to find
+        out = np.zeros((_WIDTH, x.size), np.uint8)
+        out[_SIGN], out[_DIGITS] = np.signbit(x) * np.uint8(ord("-")), ord("0")
+        out[:, x != 0.0] = _float_fields(x[x != 0.0])
+        return out
     D, X, exact = _significand(x)
     quads = np.empty((4, x.size), np.uint64)  # the last 16 digits, 4 at a time
     for j in (3, 2, 1, 0):
@@ -112,8 +117,7 @@ def _float_fields(x):
     scientific = np.flatnonzero(X < -4)
     out[_SUFFIX:, scientific] = _AFFIXES[5:, -X[scientific]]
 
-    out[_DIGITS, x == 0] = ord("0")
-    rest = np.flatnonzero(~exact & (x != 0))
+    rest = np.flatnonzero(~exact)
     text = ("%.17g\0" * rest.size % tuple(x[rest].tolist())).split("\0")
     out[:, rest] = np.array(text[:-1], f"S{_WIDTH}")[:, None].view(np.uint8).T
     return out

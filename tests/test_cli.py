@@ -420,6 +420,17 @@ def test_levels_report_overflowing_matrix_fails_the_hermiticity_gate(tmp_path):
                    "max |M - M^dag| = nan\n")
 
 
+@pytest.mark.parametrize("b", [1e100, -1e100, 1e160, -1e160, 1e200, -1e200])
+def test_levels_report_overflowing_closed_forms_fail_after_the_solve(tmp_path, b):
+    # the solve is finite at these fields (its Gram matrices are scaled);
+    # the closed forms' B**4 overflows
+    payload = {"b_min": b, "b_max": b, "n_grid": 2, "delta_gap": 0.1}
+    code, out, err = run("levels-report", write_cfg(tmp_path, payload))
+    assert (code, out) == (3, "")
+    assert err == ("numerical check failed: closed-form levels overflow on "
+                   "this grid\n")
+
+
 def _reject_constant_in_sum(name):
     raise AssertionError(f"{name} in JSON output")
 
@@ -610,9 +621,9 @@ def _levels_against_complex_eigh(out, payload):
 # its steps in a prefix scan, so M_norm,rho00,n are bounded against the
 # step loop instead (SCAN_ATOL), across the 4096-step block edge.
 # levels-report-37 and -400 pin their B,level,printed,corrected columns:
-# the real eigvalsh moves the numeric column a few ulps off complex eigh,
-# so it is bounded against that instead (LEVELS_RTOL at each field).
-# levels-report-5 still matches complex eigh to the byte.
+# the numeric column, solved in the (C, Gamma) blocks, lies a few ulps off
+# complex eigh, so it is bounded against that instead (LEVELS_RTOL at each
+# field).  levels-report-5 (gap 0) still matches complex eigh to the byte.
 @pytest.mark.parametrize("command, payload, bounded, digest", [
     pytest.param(
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from spincluster import dynamics
@@ -25,7 +25,6 @@ from spincluster.dynamics import (
     Trajectory,
     boltzmann_populations,
     coupled_levels_report,
-    coupled_spin1_hamiltonian,
     enclosed_area,
     integrate_magnetization,
     level_transition_rates,
@@ -584,15 +583,19 @@ def test_lzs_eigenvectors_diagonalize(B, delta_gap):
 LEVELS_RTOL = 1e-14
 
 
-def complex_eigh_levels(b_grid, delta_gap, gamma):
-    """Sorted 9x9 spectra by complex eigh, one field at a time, of the
-    coupled Hamiltonian built from the complex spin-1 matrices."""
+def coupled_pair_hamiltonian(b, delta_gap, gamma=1.0):
+    """The coupled pair's 9x9 at one field, from the complex spin-1
+    matrices: Zeeman term plus the y-component of the cross coupling."""
     single = spin_matrices(1.0)
     eye = np.eye(3)
     left = VectorOperator(*(np.kron(op, eye) for op in single))
     right = VectorOperator(*(np.kron(eye, op) for op in single))
-    zeeman, cross = left.z + right.z, cross_component(left, right, 1)
-    return np.array([np.linalg.eigh(gamma * b * zeeman + delta_gap * cross)[0]
+    return gamma * b * (left.z + right.z) + delta_gap * cross_component(left, right, 1)
+
+
+def complex_eigh_levels(b_grid, delta_gap, gamma):
+    """Sorted 9x9 spectra by complex eigh, one field at a time."""
+    return np.array([np.linalg.eigh(coupled_pair_hamiltonian(b, delta_gap, gamma))[0]
                      for b in np.asarray(b_grid, dtype=float)])
 
 
@@ -602,14 +605,14 @@ def assert_levels_near_complex_eigh(numeric, want):
 
 
 def test_coupled_hamiltonian_zeeman_limit():
-    ham = coupled_spin1_hamiltonian(2.0, 0.0, 1.0)
+    ham = coupled_pair_hamiltonian(2.0, 0.0, 1.0)
     assert np.max(np.abs(ham - ham.conj().T)) == 0.0
     ladder = np.linalg.eigvalsh(ham)
     assert ladder == pytest.approx([-4, -2, -2, 0, 0, 0, 2, 2, 4])
 
 
 def test_coupled_hamiltonian_pure_gap():
-    ham = coupled_spin1_hamiltonian(0.0, 1.0)
+    ham = coupled_pair_hamiltonian(0.0, 1.0)
     levels = np.linalg.eigvalsh(ham)
     expected = [-math.sqrt(2), -1, -1, 0, 0, 0, 1, 1, math.sqrt(2)]
     assert levels == pytest.approx(expected, abs=1e-12)
@@ -632,7 +635,7 @@ def test_exchange_odd_sector_is_the_three_level_block(b, delta_gap, gamma):
     # avoided-crossing block, and the three zero levels split 1 + 2
     if gamma * b == 0.0 and delta_gap == 0.0:
         return
-    ham = coupled_spin1_hamiltonian(b, delta_gap, gamma)
+    ham = coupled_pair_hamiltonian(b, delta_gap, gamma)
     parity = _exchange_parity()
     assert np.array_equal(parity @ ham, ham @ parity)
     signs, basis = np.linalg.eigh(parity)
@@ -643,6 +646,27 @@ def test_exchange_odd_sector_is_the_three_level_block(b, delta_gap, gamma):
     assert np.max(np.abs(np.linalg.eigvalsh(odd.T @ ham @ odd) - omega)) <= tol
     even_levels = np.sort(np.abs(np.linalg.eigvalsh(even.T @ ham @ even)))
     assert np.all(even_levels[:2] <= tol)
+
+
+def test_pair_basis_is_the_joint_eigenbasis_that_blocks_the_pair():
+    # rows orthogonal, each an eigenvector of C and of Gamma = F (x) F with
+    # the signs that the solve's block slices assume, and the 9x9 in that
+    # basis is [[0, M], [M^T, 0]] with M = gamma*B*Zeeman + delta_gap*cross
+    basis = dynamics._PAIR_BASIS
+    norms = np.sum(basis ** 2, axis=1)
+    assert np.array_equal(basis @ basis.T, np.diag(norms))
+    flip = np.eye(3)[::-1]
+    for op, signs in ((_exchange_parity(), [1, 1, 1, 1, -1, 1, 1, -1, -1]),
+                      (np.kron(flip, flip), [1] * 5 + [-1] * 4)):
+        assert np.array_equal(basis @ op.T, np.diag(signs) @ basis)
+    zeeman, cross = dynamics._spin1_pair_terms()
+    assert not (zeeman.flags.writeable or cross.flags.writeable)
+    unit = basis / np.sqrt(norms)[:, None]
+    for b, delta_gap, gamma in ((0.0, 1.0, 1.0), (2.5, 0.3, 1.3), (-1e3, 7.0, 0.5)):
+        block = gamma * b * zeeman + delta_gap * cross
+        want = np.block([[np.zeros((5, 5)), block], [block.T, np.zeros((4, 4))]])
+        got = unit @ coupled_pair_hamiltonian(b, delta_gap, gamma) @ unit.T
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, abs(gamma * b), delta_gap)
 
 
 def test_levels_report_asserts_robust_pieces():
@@ -698,10 +722,7 @@ def _closed_forms_reference(b, delta_gap, corrected):
     (np.linspace(2.0, -1.0, 7), 0.05, 2.0),
     (np.linspace(-0.5, 0.5, 13), 0.01, 1.0),
 ])
-def test_levels_report_matches_per_point_reference(monkeypatch, grid,
-                                                   delta_gap, gamma):
-    # blocks of 4 points, so most grids span several stacked eigvalsh calls
-    monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
+def test_levels_report_matches_per_point_reference(grid, delta_gap, gamma):
     report = coupled_levels_report(grid, delta_gap, gamma)
     b_grid = np.asarray(grid, dtype=float)
     printed = [_closed_forms_reference(gamma * b, delta_gap, False)
@@ -713,6 +734,27 @@ def test_levels_report_matches_per_point_reference(monkeypatch, grid,
         report.numeric, complex_eigh_levels(b_grid, delta_gap, gamma))
     assert np.array_equal(report.printed, printed)
     assert np.array_equal(report.corrected, corrected)
+
+
+@seed(2828)
+@settings(max_examples=80, deadline=None)
+@given(b_grid=st.lists(st.floats(-1e70, 1e70), min_size=1, max_size=8),
+       delta_gap=st.floats(0.0, 1e3), gamma=st.floats(0.1, 3.0))
+@example(b_grid=[1e-8, 1e-4, 1.0, 1e8, 1e35, 1e70], delta_gap=1e-3, gamma=1.0)
+@example(b_grid=[-1e-8, -1e-4, -1.0, -1e8, -1e35, -1e70], delta_gap=1.0, gamma=1.0)
+@example(b_grid=[0.0, 1e-8, 1.0], delta_gap=0.0, gamma=1.0)
+@example(b_grid=[0.0, 2.0, -3.0], delta_gap=0.7, gamma=1.3)
+def test_levels_solve_matches_complex_eigh_with_exact_symmetry(b_grid, delta_gap,
+                                                               gamma):
+    # the (C, Gamma) solve at every field: within LEVELS_RTOL of the 9x9
+    # complex eigh, three exact +0.0 levels, and a ladder that is exactly
+    # symmetric about them
+    numeric = coupled_levels_report(b_grid, delta_gap, gamma).numeric
+    assert_levels_near_complex_eigh(numeric,
+                                    complex_eigh_levels(b_grid, delta_gap, gamma))
+    assert np.all(numeric[:, 3:6] == 0.0) and not np.signbit(numeric[:, 3:6]).any()
+    for k in range(9):  # bit for bit, the sign of a zero included
+        assert numeric[:, k].tobytes() == (0.0 - numeric[:, 8 - k]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -736,24 +778,22 @@ def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
 ])
 def test_levels_report_gates_name_the_first_field(monkeypatch, bound,
                                                   message):
-    monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
     monkeypatch.setattr(dynamics, bound, -1.0)
     with pytest.raises(NumericalCheckError, match=message):
         coupled_levels_report(np.linspace(-2.5, 2.5, 11), 0.3)
 
 
 def test_levels_report_gate_fires_in_a_later_block(monkeypatch):
-    # a solve that loses the three zero levels at B = 1e30 only, in the
-    # second block of 4: they come out at 1e22, past 1e-9 * max |E| = 2e21
+    # a solve that returns NaN for the field B = 1e30 only, the sixth in
+    # the stack: its levels lose their scale, so no zero level is counted
     solve = np.linalg.eigvalsh
 
     def lossy(stack):
         levels = solve(stack)
-        lost = (stack[:, :1, 0] > 1e29) & (np.abs(levels) < 1e22)
-        return np.where(lost, 1e22, levels)
+        levels[5] = np.nan
+        return levels
 
     monkeypatch.setattr(np.linalg, "eigvalsh", lossy)
-    monkeypatch.setattr(dynamics, "_FIELD_BLOCK", 4)
     with pytest.raises(NumericalCheckError, match=r"^only 0 zero eigenvalues "
                        r"at B = 1e\+30 \(delta_gap = 0\.2\)$"):
         coupled_levels_report([0.5, 1.0, 1.5, 2.0, 2.5, 1e30, 3.0], 0.2)

@@ -129,6 +129,45 @@ def test_in_range_values_take_the_exact_path():
     assert exact.mean() > 0.999
 
 
+# --- exact zeros: each is "0" or "-0", by its sign bit --------------------
+
+def test_signed_zeros_beside_other_values():
+    values = np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.5e-300, 5e-324, 0.0, -0.0])
+    assert_written_as_oracle(values, -values, values[::-1].copy())
+
+
+def test_an_all_zero_block():
+    # five float columns of _BLOCK rows: one block, every field a zero
+    rows = table._BLOCK
+    assert_written_as_oracle(np.zeros(rows), np.full(rows, -0.0), np.zeros(rows),
+                             np.full(rows, -0.0), np.zeros(rows))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_zeros_at_block_edges(columns):
+    # zeros at the first and last row of each block and on either side of
+    # each block edge, of both signs, among values that need digits
+    per_block = 5 * table._BLOCK // columns
+    rows = 3 * per_block + 1
+    rng = np.random.default_rng(columns)
+    values = rng.standard_normal((columns, rows)) * 10.0 ** rng.integers(-20, 20, rows)
+    edges = [0, rows - 1] + [k * per_block + d for k in (1, 2, 3) for d in (-1, 0)]
+    values[:, edges] = np.where(rng.integers(0, 2, len(edges)) == 1, -0.0, 0.0)
+    assert_written_as_oracle(*values)
+
+
+def test_nan_and_inf_beside_zeros():
+    values = np.array([math.nan, 0.0, math.inf, -0.0, -math.inf, 0.0, math.nan,
+                       -0.0, 1e300, 0.0, -math.nan])
+    assert_written_as_oracle(values, values[::-1].copy(), -values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats()), max_size=40))
+def test_any_float_among_zeros(values):
+    assert_written_as_oracle(np.array(values, dtype=float))
+
+
 # --- indexed columns: (values, index) writes values[index] -----------------
 
 def assert_indexed_as_oracle(*columns):
