@@ -407,9 +407,10 @@ def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray, delta_gap: float)
     imaginary = bool(np.any((eb_sq[0] < 0.0) | (ea_sq[0] < 0.0)))
     ea = np.sqrt(np.where(ea_sq < 0.0, 0.0, ea_sq))
     eb = np.sqrt(np.where(eb_sq < 0.0, 0.0, eb_sq))
-    zero, omega = np.zeros_like(ea), np.broadcast_to(omega, ea.shape)
-    printed, corrected = np.sort(np.stack(
-        [zero, zero, zero, omega, -omega, ea, -ea, eb, -eb], axis=2), axis=2)
+    m = np.sort(np.stack([np.broadcast_to(omega, ea.shape), ea, eb], axis=2), axis=2)
+    # 0.0 - m, as in the solve: no level prints as -0, whatever the sort kernel
+    printed, corrected = np.concatenate([0.0 - m[..., ::-1], np.zeros_like(m), m],
+                                        axis=2)
     return printed, corrected, imaginary
 
 
@@ -428,12 +429,15 @@ class LevelComparisonReport:
     invariant_pair_max_dev: float
 
     def to_csv(self) -> Iterator[str]:
-        """One row per field point and level; each field and the level
-        indices, floats 0.0 ... 8.0 that print as 0 ... 8, are encoded once."""
+        """One row per field point and level: a level column is gathered
+        from each field's (0, m1, m2, m3) at 4i, rows 0-2 as ~(4i + 3 - row)."""
         point, level = np.divmod(np.arange(self.numeric.size), 9)
+        magnitude = np.where(level < 3, ~(4 * point + 3 - level),
+                             4 * point + np.maximum(level - 5, 0))
         return csv_pieces("B,level,numeric,printed,corrected", (
             (self.b_grid, point), (np.arange(9.0), level),
-            self.numeric.ravel(), self.printed.ravel(), self.corrected.ravel()))
+            *((levels[:, 5:].ravel(), magnitude)
+              for levels in (self.numeric, self.printed, self.corrected))))
 
 
 def _check_nine_levels(b_grid, evals, omega, delta_gap):

@@ -1,10 +1,10 @@
 """The one CSV writer; every CSV output of the package goes through it.
 
-A float is written as ``"%.17g" % v`` writes it, byte for byte, but a block
-at a time in numpy: its 17 digits are computed exactly in integers, as in
-Gay 1990 and Adams 2019 ("Ryu revisited").  Only |x| >= 1e17 or < 1e-43,
-subnormals, inf, nan and the rare value whose decimal exponent estimate is
-off go through ``%``, in one batch per block."""
+A float is written as ``"%.17g" % v`` writes it, byte for byte, a block at
+a time in numpy: its 17 digits come from Dekker's exact product (Numer.
+Math. 18, 1971) of |x| and the double nearest 10**(16 - X).  Only |x| >=
+1e17 or < 1e-43, subnormals, inf, nan and the rare value whose exponent
+estimate is off or whose rounding is too close to call go through ``%``."""
 
 import numpy as np
 
@@ -14,16 +14,20 @@ _BLOCK = 1024  # rows of five float columns formatted and yielded at a time
 # 17 digits and the decimal point, and the "e-XX" suffix.
 _WIDTH, _SIGN, _PREFIX, _DIGITS, _SUFFIX = 28, 0, 1, 6, 24
 
-_X_LOW, _X_HIGH, _MASK = -43, 16, 0xFFFFFFFF  # m * 5**(16 - X) < 2**191
+_X_LOW, _X_HIGH = -43, 16  # 10**(16 - X) for X in range is P + R below
+_SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: a double as two 26-bit halves
 
 
-# Per k: 5**k shifted left to exactly 138 bits, as five 32-bit limbs, and
-# the right shift w = _FIVE_W[k] - biased that turns the top 64 of the 192
-# bits of m * five into x * 10**k, for x = m * 2**(biased - 1075).
-_SHIFTS = [138 - (5 ** k).bit_length() for k in range(60)]
-_FIVE_LIMBS = np.array([[(5 ** k << s) >> (32 * j) & _MASK for k, s in
-                         enumerate(_SHIFTS)] for j in range(5)], np.uint64)
-_FIVE_W = np.array([s - k + 1075 - 128 for k, s in enumerate(_SHIFTS)], np.uint64)
+def _split(a):  # (high, low): a = high + low exactly, 26 bits each
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+# Per k = 16 - X: P, the double nearest 10**k, in Veltkamp's halves, and R,
+# the double nearest 10**k - P (0 while 10**k is a double, k <= 22)
+_POWERS = np.array([*_split(np.array([float(10 ** k) for k in range(60)])),
+                    [float(10 ** k - int(float(10 ** k))) for k in range(60)]])
 # 0000..9999 as four ASCII bytes (one uint32), and their trailing zeros
 _QUAD = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                              indexing="ij"), axis=-1).reshape(10000, 4)
@@ -35,61 +39,46 @@ _AFFIXES = np.array(["0." + "0" * (j - 1) if j <= 4 else "\0" * 5 + "e-%02d" % j
 
 
 def _significand(x):
-    """(D, X, exact): where exact, D is x * 10**(16 - X) rounded half to
+    """(D, X, exact): where exact, D is |x| * 10**(16 - X) rounded half to
     even, an integer of exactly 17 digits; elsewhere x stands in as 1.0."""
-    bits = x.view(np.uint64)
-    biased = (bits >> 52) & 0x7FF
-    normal = (biased != 0) & (biased != 0x7FF)
-    X = np.floor(np.log10(np.where(normal, np.abs(x), 1.0))).astype(np.int64)
+    a = np.abs(x)
+    normal = (a >= 2.2250738585072014e-308) & (a <= 1.7976931348623157e308)
+    X = np.floor(np.log10(np.where(normal, a, 1.0))).astype(np.int64)
     exact = normal & (X >= _X_LOW) & (X <= _X_HIGH)
-    X[~exact], biased[~exact] = 0, 1023
-    m = np.where(exact, bits & ((1 << 52) - 1), np.uint64(0)) | (1 << 52)
-
-    # m * five, one 32-bit limb of five at a time: column j of the product
-    # is whole once limb j is in; columns 0-3 only stick, 4 and 5 are kept
-    k = 16 - X
-    low, high = m & _MASK, m >> 32
-    column, sticky = np.zeros_like(m), np.zeros_like(m)
-    for j in range(5):
-        five = _FIVE_LIMBS[j].take(k)
-        part = five * low
-        column += part & _MASK
-        digit = column & _MASK
-        column = (column >> 32) + (part >> 32) + five * high
-        if j < 4:
-            sticky |= digit
-    # the top 64 bits hold the quotient and its round bit: w is 5 to 9 for
-    # a right X, 1 to 13 for an estimate that is off by one
-    top = (column << 32) | digit
-    w = _FIVE_W[k] - biased
-    q = top >> w
-    half = np.uint64(1) << (w - 1)
-    sticky = (sticky != 0) | (top & (half - 1) != 0)
-    D = q + ((top & half != 0) & (sticky | (q & 1 == 1)))
-    # an estimate of X that is off leaves q outside 17 digits; so does a D
-    # rounded up to 10**17, which a log10 estimate never reaches
-    exact &= (q >= 10 ** 16) & (D < 10 ** 17)
+    X, a = np.where(exact, X, 0), np.where(exact, a, 1.0)
+    p_high, p_low, r = _POWERS.take(16 - X, axis=1)
+    # Dekker: a * P = hi + err exactly; hi >= 2**53 is an even integer, so
+    # rint's ties to even round the whole sum hi + t
+    hi = a * (p_high + p_low)
+    a_high, a_low = _split(a)
+    err = ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
+    t = err + a * r  # off by under 5e-15 where r != 0, exact elsewhere
+    whole = hi.astype(np.int64)
+    D = whole + np.rint(t).astype(np.int64)
+    # an estimate of X that is off leaves the integer part outside 17 digits;
+    # a t that may round or floor either way takes the % path
+    exact &= ((whole + np.floor(t).astype(np.int64) >= 10 ** 16) & (D < 10 ** 17)
+              & ((r == 0.0) | (np.abs(2.0 * t - np.rint(2.0 * t)) >= 2.0 ** -39)))
     return D, X, exact
 
 
 def _float_fields(x):
     """(_WIDTH, x.size) uint8: the NUL-padded ``"%.17g"`` bytes of x."""
-    if np.count_nonzero(x) < x.size:  # a zero is "0" or "-0": no digits to find
-        out = np.zeros((_WIDTH, x.size), np.uint8)
-        out[_SIGN], out[_DIGITS] = np.signbit(x) * np.uint8(ord("-")), ord("0")
-        out[:, x != 0.0] = _float_fields(x[x != 0.0])
-        return out
     D, X, exact = _significand(x)
-    quads = np.empty((4, x.size), np.uint64)  # the last 16 digits, 4 at a time
-    for j in (3, 2, 1, 0):
-        upper = D // 10 ** 4
-        quads[j] = D - upper * 10 ** 4
-        D = upper
+    # the last 16 digits, 4 at a time, from two halves in int32
+    high = D // 10 ** 8
+    low, high = (D - high * 10 ** 8).astype(np.int32), high.astype(np.int32)
+    D = high // 10 ** 8
+    high -= D * 10 ** 8
+    quads = np.empty((4, x.size), np.int32)
+    for j, half in ((0, high), (2, low)):
+        quads[j] = half // 10 ** 4
+        quads[j + 1] = half - quads[j] * 10 ** 4
     # digits shown: to the last nonzero one, and all before a fixed point
-    zeros = _QUAD_ZEROS.take(quads)
+    zeros = _QUAD_ZEROS.take(quads)  # 4 for a zero quad
     trailing = zeros[0]
     for j in (1, 2, 3):
-        trailing = np.where(quads[j] == 0, trailing + 4, zeros[j])
+        trailing = zeros[j] + (zeros[j] == 4) * trailing
     shown = np.maximum(16 - trailing, X) + 1
     lead_in = (X < 0) & (X >= -4)
     # the point follows digit X in fixed notation and digit 0 in exponent
@@ -105,11 +94,10 @@ def _float_fields(x):
     digits[1:18] *= np.arange(17)[:, None] < shown
 
     out = np.zeros((_WIDTH, x.size), np.uint8)
-    out[_SIGN] = np.signbit(x) * np.uint8(ord("-"))
+    out[_SIGN] = (np.signbit(x) & (x == x)) * np.uint8(ord("-"))  # no "-nan"
     # slot i holds digit i up to the point, digit i - 1 after it
     out[_DIGITS:_SUFFIX] = digits[:18]
-    np.copyto(out[_DIGITS:_SUFFIX], digits[1:],
-              where=np.arange(18)[:, None] <= point)
+    out[_DIGITS:_SUFFIX] += (np.arange(18)[:, None] <= point) * (digits[1:] - digits[:18])
     dotted = np.flatnonzero(point < 17)
     out[_DIGITS + 1 + point[dotted], dotted] = ord(".")
     small = np.flatnonzero(lead_in)
@@ -117,51 +105,95 @@ def _float_fields(x):
     scientific = np.flatnonzero(X < -4)
     out[_SUFFIX:, scientific] = _AFFIXES[5:, -X[scientific]]
 
-    rest = np.flatnonzero(~exact)
-    text = ("%.17g\0" * rest.size % tuple(x[rest].tolist())).split("\0")
-    out[:, rest] = np.array(text[:-1], f"S{_WIDTH}")[:, None].view(np.uint8).T
+    # a zero stood in as 1.0, written "1": it is "0" or "-0"
+    zero = x == 0.0
+    out[_DIGITS, np.flatnonzero(zero)] = ord("0")
+    # the sign stays in its slot: a negated gather sets it alone
+    rest = np.flatnonzero(~(exact | zero))
+    text = ("%.17g\0" * rest.size % tuple(np.abs(x[rest]).tolist())).split("\0")
+    out[_SIGN + 1:, rest] = np.array(text[:-1], f"S{_WIDTH - 1}")[:, None].view(np.uint8).T
     return out
 
 
-def _gathered(column):
-    """(fields, per_row): a float array as (None, its values); a pair
-    (values, index) as the (values, width) NUL-padded bytes of its values,
-    each encoded once, and the index of each row's value."""
+def _column(column):
+    """(values, index, fields): a float array as (values, None, None), a pair
+    as (float values, index, None) or as (None, index, its strings' bytes)."""
     if not isinstance(column, tuple):
-        return None, np.asarray(column).astype(float, copy=False)
+        return np.asarray(column).astype(float, copy=False), None, None
     values, index = np.asarray(column[0]), np.asarray(column[1])
-    if values.dtype.kind in "SU":
-        return values.astype("S")[:, None].view(np.uint8), index
-    fields = _float_fields(values.astype(float, copy=False))
-    return np.ascontiguousarray(fields.T), index
+    if values.dtype.kind not in "SU":
+        return values.astype(float, copy=False), index, None
+    if index.size and index.min() < 0:
+        raise ValueError("a string column's index has a negative entry")
+    return None, index, values.astype("S")[:, None].view(np.uint8)
+
+
+def _table(fields, values):
+    """A float table's rows of bytes without the slots none of its values
+    use (the sign slot kept), then those of 0.0 - values, reversed: index ~k
+    gathers 0.0 - values[k], "-" where values[k] > 0 and no sign elsewhere."""
+    used = fields.any(axis=1)
+    used[_SIGN] = True
+    rows = fields[used].T
+    negated = rows[::-1].copy()
+    negated[:, _SIGN] = (values[::-1] > 0.0) * np.uint8(ord("-"))
+    return np.concatenate([rows, negated])
+
+
+def _block_text(columns, block):
+    """Rows ``block`` as CSV text, laid out row-major; a longer float table
+    is formatted over the range its rows use.  Every array made here is
+    released on return, before the text is yielded."""
+    ranges, parts = {}, {}  # per index: (low, high, its rows' index in range)
+    for values, index, fields in columns:
+        if index is None:
+            parts[id(values)] = values[block]
+        elif fields is None:
+            if id(index) not in ranges:
+                at = index[block]
+                wrapped = np.maximum(at, ~at)
+                low = int(wrapped.min())
+                ranges[id(index)] = (low, int(wrapped.max()) + 1,
+                                     np.where(at < 0, at + low, at - low))
+            parts[id(values), id(index)] = values[slice(*ranges[id(index)][:2])]
+    formatted = dict(zip(parts, np.split(_float_fields(np.concatenate(
+        [*parts.values(), []])), np.cumsum([len(p) for p in parts.values()])[:-1], axis=1)))
+    cells = []
+    for values, index, fields in columns:
+        if index is None:
+            cells.append(formatted[id(values)].T)
+        elif fields is None:
+            low, high, at = ranges[id(index)]
+            cells.append(_table(formatted[id(values), id(index)],
+                                values[low:high]).take(at, axis=0))
+        else:
+            cells.append(fields.take(index[block], axis=0))
+    widths = [cell.shape[1] for cell in cells]
+    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators
+    lines = np.zeros((len(cells[0]), ends[-1]), np.uint8)
+    for cell, width, end in zip(cells, widths, ends):
+        lines[:, end - 1 - width:end - 1] = cell
+    lines[:, ends - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def csv_pieces(header: str, columns):
     """The header line, then a block of rows per piece: row i of the
     columns joined by ``,``.  A column is a float array, written as
     ``"%.17g" % v``, or a pair ``(values, index)`` of floats or strings
-    written verbatim, whose row i is ``values[index[i]]``.  A float array
-    passed at several positions is formatted once; a block formats about
-    5 * _BLOCK floats of the distinct float arrays in one pass."""
+    written verbatim, whose row i is ``values[index[i]]``, or for floats
+    ``0.0 - values[k]`` where index[i] is ~k < 0.  A float array passed at
+    several positions is formatted once; a block formats about 5 * _BLOCK
+    floats of the distinct float arrays in one pass."""
     yield header + "\n"
-    columns = [_gathered(column) for column in columns]
-    widths = [_WIDTH if fields is None else fields.shape[1] for fields, _ in columns]
-    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators
-    floats = {id(per_row): per_row for fields, per_row in columns if fields is None}
-    rows = 5 * _BLOCK // max(1, len(floats))
-    for start in range(0, len(columns[0][1]), rows):
-        block = slice(start, start + rows)
-        formatted = dict(zip(floats, np.split(_float_fields(np.concatenate(
-            [per_row[block] for per_row in floats.values()])), len(floats),
-            axis=1))) if floats else {}
-        # row-major: each line is one contiguous run of bytes
-        lines = np.zeros((len(columns[0][1][block]), ends[-1]), np.uint8)
-        for (fields, per_row), width, end in zip(columns, widths, ends):
-            lines[:, end - 1 - width:end - 1] = (
-                formatted[id(per_row)].T if fields is None
-                else fields.take(per_row[block], axis=0))
-        lines[:, ends - 1] = ord(",")
-        lines[:, -1] = ord("\n")
-        piece = lines.tobytes().translate(None, b"\0").decode("ascii")
-        del formatted, lines  # freed first: a buffer taking pieces grows in place
-        yield piece
+    columns = [_column(column) for column in columns]
+    rows = 5 * _BLOCK // max(1, len({id(values) for values, index, _ in columns
+                                     if index is None}))
+    # a float table no longer than a block is formatted once, whole
+    columns = [(values, index, _table(_float_fields(values), values))
+               if fields is None and index is not None and values.size <= rows
+               else (values, index, fields) for values, index, fields in columns]
+    count = len(columns[0][0] if columns[0][1] is None else columns[0][1])
+    for start in range(0, count, rows):
+        yield _block_text(columns, slice(start, start + rows))

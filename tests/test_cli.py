@@ -605,16 +605,20 @@ def _levels_against_complex_eigh(out, payload):
 
 
 # sha256 of stdout of each CSV output, or of the columns that its bounding
-# oracle returns.  The levels-report digests were taken from the
-# point-by-point report, before the grid was diagonalized in stacked
-# blocks; the others from the writers that each command had before all
-# three shared one, and the 101-point phase map and 400-point levels report
-# from the writer before it indexed their grid columns.  The writer's
-# blocks hold about 5 * 1024 floats of the distinct plain float columns:
-# 1024 rows of adiabatic simulate, 1280 of simulate with lzs_mode off
-# (M_norm is n), 1706 of levels-report and 5120 of phase-map, and a piece
-# of the text is one block.  simulate-5000 (5001 rows),
-# levels-report-400 (3600) and phase-map-101 (10201) cross block edges.  The
+# oracle returns.  The levels-report digests were taken once its closed
+# forms were assembled from sorted magnitudes as 0.0 - m, 0, m, so that no
+# level prints as -0 whatever numpy's sort kernel does with equal zeros
+# (before, some printed and corrected cells read -0; no other cell moved).
+# The others come from the writers that each command had before all three
+# shared one, and the 101-point phase map from the writer before it
+# indexed its grid columns.  The writer's blocks hold about 5 * 1024 floats
+# of the distinct plain float columns: 1024 rows of adiabatic simulate,
+# 1280 of simulate with lzs_mode off (M_norm is n) and 5120 of phase-map;
+# levels-report has no plain float column, so its blocks hold 5120 rows,
+# and its field grid and level magnitudes are formatted per block over the
+# range of fields its rows use.  A piece of the text is one block.
+# simulate-5000 (5001 rows), levels-report-5 (45 rows), -400 (3600) and
+# phase-map-101 (10201) cross block edges or fill one block in part.  The
 # phase maps hold the six-way tie at the origin, the singlet ties on the
 # diagonal and degenerate-mixed rows.
 # The simulate digest covers its t,B columns only: the integrator composes
@@ -629,13 +633,13 @@ def _levels_against_complex_eigh(out, payload):
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,
                           "delta_gap": 0.7, "gamma": 1.3},
         _levels_against_complex_eigh,
-        "b4f830edda23b1cdfbba1e3e844a814bbed4b48eb3a0507a8974b2c132a59e48",
+        "d27102fe515bc6df87da90f7fb6b2e8784e6bbabf1789c6f262ebedaebce0eef",
         id="levels-report-37"),
     pytest.param(
         "levels-report", {"b_min": 1.0, "b_max": -1.0, "n_grid": 5,
                           "delta_gap": 0.0},
         None,
-        "a7014a56277278daa97147e389e0d88674167b954ef3acd4d094a16a7d1e8d73",
+        "31d3b0b915a5c9265105f2ce80231cc9d29245698c9e250ec058466366560164",
         id="levels-report-5"),
     pytest.param(
         "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
@@ -653,7 +657,7 @@ def _levels_against_complex_eigh(out, payload):
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 400,
                           "delta_gap": 0.7, "gamma": 1.3},
         _levels_against_complex_eigh,
-        "ebe6545c467c8bb0adab82cf071c154421217c52fc7cfd790c4ed3e4983bd9f3",
+        "ea5d92532e03694357ee4b346afd33b5d6a1db45dfbbc8551cc2b1916fe83d01",
         id="levels-report-400"),
     pytest.param(
         "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,

@@ -760,6 +760,8 @@ def test_levels_solve_matches_complex_eigh_with_exact_symmetry(b_grid, delta_gap
 @settings(max_examples=40, deadline=None)
 @given(b_range=st.tuples(*[st.floats(-5.0, 5.0)] * 2), n_grid=st.integers(1, 700),
        delta_gap=st.floats(0.0, 2.0), gamma=st.floats(0.1, 3.0))
+@example(b_range=(-5.0, 5.0), n_grid=700, delta_gap=0.0, gamma=1.0)
+@example(b_range=(2.68e-86, -2.68e-86), n_grid=3, delta_gap=0.0, gamma=1.0)
 def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
                                                        delta_gap, gamma):
     # oracle: every column materialized, one B and one level index per row
@@ -768,6 +770,38 @@ def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
     assert_same_text(text, csv_text("B,level,numeric,printed,corrected", (
         np.repeat(report.b_grid, 9), np.tile(np.arange(9.0), n_grid),
         report.numeric.ravel(), report.printed.ravel(), report.corrected.ravel())))
+
+
+def test_levels_report_does_not_depend_on_the_sort_kernel(monkeypatch):
+    # numpy's default float sort may not keep the sign bits of equal zeros;
+    # a stable sort does, and every level must come out bit for bit alike
+    grid, delta_gap = np.linspace(-2.0, 2.0, 41), 0.0
+    want = coupled_levels_report(grid, delta_gap)
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a, axis=-1, **_: sort(a, axis, kind="stable"))
+    got = coupled_levels_report(grid, delta_gap)
+    for name in ("numeric", "printed", "corrected"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert "".join(got.to_csv()) == "".join(want.to_csv())
+
+
+@seed(2929)
+@settings(max_examples=80, deadline=None)
+@given(b_grid=st.lists(st.floats(-1e30, 1e30), min_size=1, max_size=8),
+       delta_gap=st.sampled_from([0.0, 0.01]) | st.floats(0.0, 1e3),
+       gamma=st.floats(0.1, 3.0))
+@example(b_grid=[0.0, 1e-8, -1.0, 2.0], delta_gap=0.0, gamma=1.0)
+@example(b_grid=[-0.5, -0.01, 0.0, 0.01, 0.5], delta_gap=0.01, gamma=1.0)
+def test_closed_form_levels_are_signed_magnitudes(b_grid, delta_gap, gamma):
+    # gap 0 and fields where the printed reading goes imaginary included:
+    # no -0.0 anywhere, rows 0-2 are 0.0 - rows 8-6 bit for bit, and rows
+    # 3-5 are +0.0, as the writer's signed gathers assume
+    report = coupled_levels_report(b_grid, delta_gap, gamma)
+    for levels in (report.numeric, report.printed, report.corrected):
+        assert not np.any((levels == 0.0) & np.signbit(levels))
+        for k in range(3):
+            assert levels[:, k].tobytes() == (0.0 - levels[:, 8 - k]).tobytes()
+        assert levels[:, 3:6].tobytes() == np.zeros((len(levels), 3)).tobytes()
 
 
 @pytest.mark.parametrize("bound, message", [

@@ -250,3 +250,140 @@ def test_one_byte_wide_string_columns():
                              np.linspace(-1.0, 1.0, 7),
                              (np.array(["", "", ""]), index),
                              (np.array(["x", "", "y"]), index))
+
+
+# --- signed gathers: an index ~k writes 0.0 - values[k] --------------------
+
+def signed_oracle(values, index):
+    """values[index], with 0.0 - values[k] where the index is ~k."""
+    values, index = np.asarray(values, dtype=float), np.asarray(index)
+    return np.where(index < 0, 0.0 - values[np.maximum(index, ~index)],
+                    values[np.maximum(index, ~index)])
+
+
+def assert_signed_as_oracle(*columns):
+    """csv_text on the columns against the oracle on each float pair's
+    materialized, negated where its index is negative, rows."""
+    materialized = [signed_oracle(*column) if isinstance(column, tuple)
+                    else np.asarray(column) for column in columns]
+    assert_same_text(csv_text("h", columns), oracle("h", materialized))
+
+
+SIGNED = np.array([0.0, -0.0, 1e-86, -1e-86, 1e300, -1e300, 5e-324, -5e-324,
+                   math.inf, -math.inf, math.nan, -math.nan, 2.68e-86, 123.25])
+
+
+def test_negated_indices_write_zero_minus_the_value():
+    k = np.arange(SIGNED.size)
+    index = np.concatenate([k, ~k, ~k[::-1], k[::-1]])
+    assert_signed_as_oracle((SIGNED, index), (-SIGNED, index))
+    text = csv_text("h", [(SIGNED, ~k)]).split("\n")[1:-1]
+    assert "-0" not in text and "-nan" not in text
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_whole_and_per_block_tables_across_block_edges(extra):
+    # a table of exactly a block's rows is formatted once, whole; one more
+    # value and it is formatted per block, over the range each block uses,
+    # and the ranges cross the block edges
+    rows = 5 * table._BLOCK
+    rng = np.random.default_rng(extra)
+    values = rng.standard_normal(rows + extra) * 10.0 ** rng.integers(-90, 30, rows + extra)
+    values[::7] = np.where(rng.integers(0, 2, values[::7].size) == 1, -0.0, 0.0)
+    k = (np.arange(3 * rows + 5) * 3 // 7 + rng.integers(-40, 40, 3 * rows + 5)) % values.size
+    index = np.where(rng.integers(0, 2, k.size) == 1, ~k, k)
+    assert_signed_as_oracle((values, index))
+    assert_signed_as_oracle((values, index[::-1].copy()), (values, np.sort(k)))
+
+
+def test_one_signed_index_shared_by_three_columns():
+    rng = np.random.default_rng(3)
+    fields = 3 * table._BLOCK
+    tables = [np.column_stack([np.zeros(fields), np.sort(np.abs(
+        rng.standard_normal((fields, 3)) * 10.0 ** rng.integers(-6, 6, (fields, 1))),
+        axis=1)]).ravel() for _ in range(3)]
+    point, level = np.divmod(np.arange(9 * fields), 9)
+    slot = np.array([~3, ~2, ~1, 0, 0, 0, 1, 2, 3])[level]
+    sign = np.where(level < 3, -1, 1)
+    index = slot + 4 * point * sign
+    assert_signed_as_oracle(*[(values, index) for values in tables],
+                            (np.arange(9.0), level))
+
+
+def test_a_negative_index_on_a_string_table_is_refused():
+    with pytest.raises(ValueError, match="negative"):
+        list(csv_pieces("h", [(np.array(["a", "b"]), np.array([0, ~1]))]))
+
+
+def test_level_indices_are_gathered_two_bytes_wide():
+    # the sign slot and one digit slot: every other slot of 0 ... 8 is unused
+    fields = table._float_fields(np.arange(9.0))
+    assert table._table(fields, np.arange(9.0)).shape == (18, 2)
+
+
+# --- significands: Dekker's exact product against exact rationals ----------
+
+def exact_significand(x):
+    """|x| * 10**(16 - X) rounded half to even, X the true decimal exponent."""
+    v = abs(Fraction(x))
+    X = math.floor(math.log10(v))
+    X += (Fraction(10) ** (X + 1) <= v) - (v < Fraction(10) ** X)
+    return round(v * Fraction(10) ** (16 - X)), X
+
+
+def assert_exact_significands(values):
+    values = np.array(values)
+    D, X, exact = table._significand(values)
+    for x, d, e, ok in zip(values.tolist(), D.tolist(), X.tolist(), exact.tolist()):
+        if ok:  # a D that rounds to 10**17 has no 17 digits: never exact
+            assert (d, e) == exact_significand(x), x
+    assert_written_as_oracle(values, -values)
+
+
+def test_powers_of_ten_and_their_neighbours_are_exact():
+    # where the log10 estimate of X is off by one
+    assert_exact_significands([v for k in range(-43, 17) for v in near(10.0 ** k, 1)])
+
+
+def decimal_near_ties(X, count=40, seed=0):
+    """Doubles nearest to 18-digit decimals d...d5e(X - 17), whose 17-digit
+    rounding is within an ulp of a tie."""
+    rng = np.random.default_rng(seed - X)
+    digits = rng.integers(10 ** 16, 10 ** 17, count).tolist()
+    return [float(f"{d}5e{X - 17}") for d in digits]
+
+
+@pytest.mark.parametrize("X", [-5, -6, -7, -8])
+def test_near_ties_on_both_sides_of_the_exact_powers(X):
+    # 10**(16 - X) is a double up to k = 22 (X = -6): there t is exact; from
+    # k = 23 (X = -7) on it carries the error of R
+    values = decimal_near_ties(X)
+    assert_exact_significands(values + [math.nextafter(v, 0.0) for v in values]
+                              + [math.nextafter(v, 1.0) for v in values])
+    assert_exact_significands([x for x in ties() if math.floor(math.log10(x)) == X])
+
+
+def lattice_near_ties(k):
+    """Doubles x = (2**52 + q) * 2**(-53 - k), and their mirror images below
+    2**53, whose x * 10**k lies within 2**-45 of a half-integer but not on
+    it: q runs over the convergent denominators of (5**k mod 2**53) / 2**53,
+    which make q * 5**k nearly a multiple of 2**53."""
+    num, den, q_prev, q = 5 ** k % 2 ** 53, 2 ** 53, 1, 0
+    out = []
+    while den and q < 2 ** 52:
+        whole, (num, den) = num // den, (den, num % den)
+        q_prev, q = q, whole * q + q_prev
+        for m in (2 ** 52 + q, 2 ** 53 - q):
+            x = m * 2.0 ** (-53 - k)
+            off = Fraction(x) * 10 ** k % 1 - Fraction(1, 2)
+            if 0 < abs(off) < Fraction(1, 2 ** 45) and 0 < q < 2 ** 52:
+                out.append(x)
+    return out
+
+
+def test_lattice_near_ties_where_ten_to_the_k_is_inexact():
+    # from k = 23 on, t carries R's error: a t this close to a half-integer
+    # must take the % path, or its last digit may round the wrong way
+    values = [x for k in range(23, 60) for x in lattice_near_ties(k)]
+    assert len(values) > 100
+    assert_exact_significands(values)
