@@ -38,7 +38,8 @@ POPULATION_WINDOW = 1e-6      # integrator abort threshold
 LEVEL_ZERO_COUNT_ATOL = 1e-9  # times max(1, max |level|) at each field
 INVARIANT_LEVEL_ATOL = 1e-9   # times max(1, max |level|) at each field
 _EXP_UNDERFLOW = -700.0
-_COEFF_BLOCK = 4096  # RK4 steps per coefficient evaluation; bounds memory
+_COEFF_BLOCK = 8192  # RK4 steps per coefficient evaluation; bounds memory
+_ROW = 32  # consecutive steps of a block composed in turn by its scan
 
 LEVELS = ("+", "0", "-")
 _N_OF = {"+": 1.0, "0": 0.0, "-": -1.0}
@@ -231,24 +232,43 @@ def _initial_state(init, scale0: float, params: RateParams):
 
 def _apply(a, b):
     """The linear part of affine map a applied to affine map b, each stored
-    as the six component rows (M00, M01, M10, M11, v0, v1), elementwise."""
-    a00, a01, a10, a11 = a[:4]
-    b00, b01, b10, b11, w0, w1 = b
-    return np.array([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11,
-                     a00 * w0 + a01 * w1, a10 * w0 + a11 * w1])
+    as its 2x3 matrix [M | v] over any trailing axes, elementwise."""
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+
+
+def _advance(maps, y):
+    """The states y + D·y + v, each y = (n, rho00) along the first axis."""
+    return y + (maps[:, 0] * y[0] + maps[:, 1] * y[1] + maps[:, 2])
 
 
 def _rk4_step_maps(d, h: float):
-    """Each RK4 step as y_{i+1} = y_i + D_i·y_i + v_i, rows (D, v), from the
+    """Each RK4 step as y_{i+1} = y_i + D_i·y_i + v_i, as [D | v], from the
     derivative maps at the nodes (one more than steps), then the half-nodes.
     Keeping the identity out keeps D's digits when h·D is small."""
-    d_node, d_half = np.split(d, [(d.shape[1] + 1) // 2], axis=1)
-    k1 = d_node[:, :-1]
+    d_node, d_half = np.split(d, [(d.shape[-1] + 1) // 2], axis=-1)
+    k1 = d_node[..., :-1]
     k2 = d_half + 0.5 * h * _apply(d_half, k1)
     k3 = d_half + 0.5 * h * _apply(d_half, k2)
-    k4 = d_node[:, 1:] + h * _apply(d_node[:, 1:], k3)
+    k4 = d_node[..., 1:] + h * _apply(d_node[..., 1:], k3)
     return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _scan(maps, y0):
+    """The states after each step [D | v] of maps (2x3 by m) from the (2, 1)
+    column y0 = (n, rho00), in O(m) work: the steps as rows of _ROW (zero
+    maps pad the last), composed a column at a time, the rows' totals scanned
+    by doubling, and each row's prefixes applied to the state carried in."""
+    p = np.pad(maps, [(0, 0), (0, 0), (0, -maps.shape[-1] % _ROW)])
+    p = p.reshape(2, 3, -1, _ROW).swapaxes(2, 3).copy()  # columns contiguous
+    for j in range(1, _ROW):  # step j of each row after steps 0..j-1
+        p[:, :, j] += p[:, :, j - 1] + _apply(p[:, :, j], p[:, :, j - 1])
+    total = p[:, :, -1].copy()
+    for shift in (2 ** k for k in range((total.shape[-1] - 1).bit_length())):
+        later, earlier = total[..., shift:], total[..., :-shift]
+        later += earlier + _apply(later, earlier)
+    y_in = np.concatenate([y0, _advance(total[..., :-1], y0)], axis=1)
+    out = _advance(p, y_in[:, None]).swapaxes(1, 2).reshape(2, -1)
+    return out[:, :maps.shape[-1]]
 
 
 def _check_populations(t, n, rho00):
@@ -269,8 +289,8 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
                             lzs_mode: str = "off",
                             coeff_mode: str = "derived") -> Trajectory:
     """Fixed-step RK4 trajectory of (n, rho00) under the swept field: the
-    affine maps of ``_COEFF_BLOCK`` steps at a time are composed by
-    Hillis-Steele doubling and applied to the state carried into the block."""
+    affine maps of ``_COEFF_BLOCK`` steps at a time are scanned by ``_scan``
+    from the state carried into the block, in O(n) work."""
     if n_steps < 10:
         raise ConfigError("n_steps must be at least 10")
     if lzs_mode not in LZS_MODES:
@@ -284,10 +304,10 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
 
     def derivative(b):
         """d/dt (n, rho00) = [[C1, -C2], [-C3, C4]]·(n, rho00) + (-E, F),
-        n = -x, as affine-map rows at each field of the array b."""
+        n = -x, as affine maps [M | v] at each field of the array b."""
         c = rate_matrix_coefficients(
             level_transition_rates(level_scale(b), params), coeff_mode)
-        return np.array([c.C1, -c.C2, -c.C3, c.C4, -c.E, c.F])
+        return np.array([[c.C1, -c.C2, -c.E], [-c.C3, c.C4, c.F]])
 
     h = (profile.t_end - profile.t_start) / n_steps
     t_nodes = profile.t_start + h * np.arange(n_steps + 1)
@@ -305,12 +325,7 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
             stop = min(start + _COEFF_BLOCK, n_steps)
             maps = _rk4_step_maps(derivative(np.concatenate(
                 [b_nodes[start:stop + 1], b_half[start:stop]])), h)
-            for shift in (2 ** k for k in range((stop - start - 1).bit_length())):
-                later, earlier = maps[:, shift:], maps[:, :-shift]
-                maps[:, shift:] = later + earlier + _apply(later, earlier)
-            (d00, d01, d10, d11, v0, v1), (n0, rho0) = maps, y[:, start]
-            y[:, start + 1:stop + 1] = (n0 + (d00 * n0 + d01 * rho0 + v0),
-                                        rho0 + (d10 * n0 + d11 * rho0 + v1))
+            y[:, start + 1:stop + 1] = _scan(maps, y[:, start:start + 1])
             _check_populations(t_nodes[start:stop + 1], *y[:, start:stop + 1])
 
     n = m_norm = y[0]  # one array, formatted once by the writer

@@ -623,7 +623,8 @@ def _levels_against_complex_eigh(out, payload):
 # diagonal and degenerate-mixed rows.
 # The simulate digest covers its t,B columns only: the integrator composes
 # its steps in a prefix scan, so M_norm,rho00,n are bounded against the
-# step loop instead (SCAN_ATOL), across the 4096-step block edge.
+# step loop instead (SCAN_ATOL); its 5000 steps fill part of one 8192-step
+# block, the last of its 32-step rows with 8 steps.
 # levels-report-37 and -400 pin their B,level,printed,corrected columns:
 # the numeric column, solved in the (C, Gamma) blocks, lies a few ulps off
 # complex eigh, so it is bounded against that instead (LEVELS_RTOL at each

@@ -5,6 +5,7 @@ step endurance run lives in the acceptance suite.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,7 +401,9 @@ def _outcome(integrate, *args, **options):
         return str(failure)
 
 
-# n_steps on both sides of the _COEFF_BLOCK edges (4096 steps a block).
+# n_steps at the edges of the scan's rows and blocks (_ROW = 32 steps a
+# row, _COEFF_BLOCK = 8192 a block): under one row, one row and a step, a
+# last row of 31 steps, an exact block, and a last block of one step.
 # Where no step expands, scan and loop must agree to SCAN_ATOL, or raise
 # the same message.  Where a step expands, each amplifies its own rounding
 # and neither has digits to compare (a state one keeps on a fixed point
@@ -421,7 +424,7 @@ def _outcome(integrate, *args, **options):
        st.one_of(st.sampled_from(["equilibrium", "polarized_up"]),
                  st.builds(_explicit_init, UNIT, UNIT)),
        st.sampled_from(LZS_MODES), st.sampled_from(COEFF_MODES),
-       st.sampled_from([10, 4095, 4096, 4097, 8193]))
+       st.sampled_from([10, 33, 8191, 8192, 8193]))
 def test_block_scan_matches_step_loop(params, profile, init, lzs_mode,
                                       coeff_mode, n_steps):
     options = dict(init=init, n_steps=n_steps, lzs_mode=lzs_mode,
@@ -440,6 +443,78 @@ def test_block_scan_matches_step_loop(params, profile, init, lzs_mode,
     for name in ("n", "rho00", "M_norm"):
         gap = np.max(np.abs(getattr(got, name) - getattr(want, name)))
         assert gap <= SCAN_ATOL, name
+
+
+def _step_loop(maps, y0):
+    """The float64 loop y <- y + D·y + v over the steps [D | v] of maps."""
+    y, states = y0[:, 0], []
+    for step in np.moveaxis(maps, -1, 0):
+        y = y + (step[:, :2] @ y + step[:, 2])
+        states.append(y)
+    return np.array(states).T
+
+
+def _contracting_maps(rng, m):
+    """m random steps [D | v] whose maps y + D·y + v contract (row sums of
+    |I + D| at most 0.99)."""
+    d = rng.uniform(-0.04, 0.04, size=(2, 2, m))
+    d[[0, 1], [0, 1]] = rng.uniform(-0.95, -0.05, size=(2, m))
+    return np.concatenate([d, rng.uniform(-0.1, 0.1, size=(2, 1, m))], axis=1)
+
+
+@pytest.mark.parametrize("m", [1, dynamics._ROW - 1, dynamics._ROW,
+                               dynamics._ROW + 1, dynamics._COEFF_BLOCK - 1,
+                               dynamics._COEFF_BLOCK])
+def test_scan_matches_the_step_loop(m):
+    rng = np.random.default_rng(m)
+    maps, y0 = _contracting_maps(rng, m), rng.uniform(-1.0, 1.0, size=(2, 1))
+    got = dynamics._scan(maps, y0)
+    assert got.shape == (2, m)
+    np.testing.assert_allclose(got, _step_loop(maps, y0), rtol=0.0,
+                               atol=SCAN_ATOL)
+
+
+@pytest.mark.parametrize("bad", [0, dynamics._ROW + 7,
+                                 dynamics._COEFF_BLOCK - 1])
+def test_scan_keeps_the_states_before_a_nan_step(bad):
+    # steps toward random points of the simplex keep every state in it
+    # until the NaN map; the gate then names the state after that step
+    m = dynamics._COEFF_BLOCK
+    rng = np.random.default_rng(bad)
+    rho = rng.uniform(0.0, 1.0, m)
+    target = np.array([(1.0 - rho) * rng.uniform(-1.0, 1.0, m), rho])
+    rate = rng.uniform(0.05, 0.95, m)
+    maps = np.zeros((2, 3, m))
+    maps[0, 0] = maps[1, 1] = -rate
+    maps[:, 2] = rate * target
+    maps[:, :, bad] = np.nan
+    y0 = np.array([[0.2], [0.3]])
+    got = dynamics._scan(maps, y0)
+    np.testing.assert_allclose(got[:, :bad], _step_loop(maps, y0)[:, :bad],
+                               rtol=0.0, atol=SCAN_ATOL)
+    assert np.isnan(got[:, bad:]).all()
+    t = 1e-3 * np.arange(m + 1)
+    with pytest.raises(NumericalCheckError,
+                       match=rf"at t = {t[bad + 1]:.6g}: \(nan, nan, nan\)"):
+        dynamics._check_populations(t, *np.concatenate([y0, got], axis=1))
+
+
+def test_integration_memory_is_one_block():
+    # beyond the returned arrays, the integrator holds the half-node fields
+    # and one block's coefficients, RK4 stages and scan: 3.6 MB traced at
+    # 8192 steps a block, 11.8 MB at 32768
+    profile = FieldProfile(amplitude=10.0, t_end=2.0 * math.pi)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        traj = integrate_magnetization(RateParams(), profile, n_steps=100000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(traj.M_norm, traj.n)  # lzs_mode off: one array
+    kept = sum(a.nbytes for a in (traj.t, traj.B, traj.n, traj.rho00))
+    assert peak - before - kept <= 4e6
 
 
 def test_trajectory_csv_contract():
