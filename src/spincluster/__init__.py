@@ -1,6 +1,6 @@
 """spincluster: exact numerics for small Heisenberg spin clusters.
 
-Subpackages cover dense spin operators, the conserved quadratic invariant
+Its modules cover dense spin operators, the conserved quadratic invariant
 built from the cluster Yangian, symmetry-constrained coupling families,
 closed-form spectra with ground-state classification, local observables,
 and rate-equation magnetization dynamics with level-mixing sweeps.

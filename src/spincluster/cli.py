@@ -3,7 +3,7 @@
 One JSON config document per invocation (positional path or
 ``--config``), optionally seeded from a named preset; scalar flags
 override config fields.  The merged config is read once against its
-subcommand's spec in ``_SPECS``.  All output is deterministic: JSON with
+subcommand's spec in ``_COMMANDS``.  All output is deterministic: JSON with
 sorted keys, CSV floats at 17 significant digits, returned by a handler as
 pieces that ``main`` writes to stdout or ``--out`` once every check has
 passed.  Exit codes: 0 success, 2 configuration/validation problem or failed
@@ -83,30 +83,11 @@ def _init(value, name: str):
     return value if type(value) is str else _numbers(value, name)
 
 
-# subcommand -> config key -> kind; a dict is the spec of a nested object.
-# Only the keys a config sets reach the library, whose defaults fill in
-# the rest.
+# config key -> kind; a dict is the spec of a nested object.  Only the
+# keys a config sets reach the library, whose defaults fill in the rest.
 _WEIGHTED = {"sites": _integral, "weights": _numbers}
 _COUPLING_KINDS = {name: _number for family in spectra.FAMILIES.values()
                    for name in family.couplings}
-_SPECS = {
-    "q-spectrum": _WEIGHTED,
-    "check-yangian": _WEIGHTED,
-    "commutant": _WEIGHTED,
-    "spectrum": {"family": _string, **_COUPLING_KINDS},
-    "phase-map": {"a12_range": _numbers, "a13_range": _numbers,
-                  "n_grid": _integral},
-    "moments": {"sites": _integral, **_COUPLING_KINDS, "m": _number,
-                "g": _number, "label": _string},
-    "levels-report": {"b_min": _number, "b_max": _number, "n_grid": _integral,
-                      "delta_gap": _number, "gamma": _number},
-    "simulate": {"A": _number, "inv_temp": _number, "gamma": _number,
-                 "delta_gap": _number, "init": _init,
-                 "n_steps": _integral, "lzs_mode": _string, "mode": _string,
-                 "field": {"kind": _string, "amplitude": _number,
-                           "angular_rate": _number, "t_start": _number,
-                           "t_end": _number}},
-}
 
 
 def _read(cfg, spec: dict, where: str) -> dict:
@@ -173,7 +154,7 @@ def _cmd_commutant(cfg) -> Iterable[str]:
     return _json({
         "sites": register.n_sites,
         "weights": weights,
-        "dimension": family.dimension,
+        "dimension": len(family.basis),
         "pair_order": [f"{i}-{j}" for i, j in pairs],
         "basis": [{f"{i}-{j}": member.a[(i, j)] for i, j in pairs}
                   for member in family.basis],
@@ -230,14 +211,15 @@ def _cmd_moments(cfg) -> Iterable[str]:
     if label not in levelset.by_label():
         raise ConfigError(f"unknown level label {label!r}")
     level = levelset.by_label()[label]
-    m = cfg.get("m", -level.S)
+    m = cfg.get("m", 0.0 - level.S)
     state = multiplets.level_state(register, label, m)
     ham = spectra.hamiltonian(family, *params.values())
     residual = float(np.linalg.norm(ham @ state - level.energy * state))
     if not residual <= 1e-9 * max(1.0, abs(level.energy)):  # NaN fails too
         raise NumericalCheckError(
             f"state for {label!r} fails its eigen-equation: residual {residual:.3e}")
-    moments = observables.local_moments(register, state, **_given(cfg, "g"))
+    g = cfg.get("g", observables.DEFAULT_G_FACTOR)
+    mu = observables.local_moments(register, state, g)
     return _json({
         "sites": sites,
         "params": params,
@@ -245,9 +227,9 @@ def _cmd_moments(cfg) -> Iterable[str]:
         "S": level.S,
         "m": m,
         "energy": level.energy,
-        "g": moments.g,
-        "mu": [float(v) for v in moments.mu],
-        "total": moments.total,
+        "g": g,
+        "mu": mu.tolist(),
+        "total": float(mu.sum()),
     })
 
 
@@ -270,15 +252,31 @@ def _cmd_simulate(cfg) -> Iterable[str]:
     return dynamics.integrate_magnetization(params, profile, **options).to_csv()
 
 
-_HANDLERS = {
-    "q-spectrum": _cmd_q_spectrum,
-    "check-yangian": _cmd_check_yangian,
-    "commutant": _cmd_commutant,
-    "spectrum": _cmd_spectrum,
-    "phase-map": _cmd_phase_map,
-    "moments": _cmd_moments,
-    "levels-report": _cmd_levels_report,
-    "simulate": _cmd_simulate,
+# subcommand -> (handler, config spec, scalar flags), in --help order
+_COMMANDS = {
+    "q-spectrum": (_cmd_q_spectrum, _WEIGHTED, ("sites",)),
+    "check-yangian": (_cmd_check_yangian, _WEIGHTED, ("sites",)),
+    "commutant": (_cmd_commutant, _WEIGHTED, ("sites",)),
+    "spectrum": (_cmd_spectrum, {"family": _string, **_COUPLING_KINDS}, ()),
+    "phase-map": (_cmd_phase_map, {"a12_range": _numbers, "a13_range": _numbers,
+                                   "n_grid": _integral}, ()),
+    "moments": (_cmd_moments, {"sites": _integral, **_COUPLING_KINDS,
+                               "m": _number, "g": _number, "label": _string}, ()),
+    "levels-report": (_cmd_levels_report, {
+        "b_min": _number, "b_max": _number, "n_grid": _integral,
+        "delta_gap": _number, "gamma": _number}, ()),
+    "simulate": (_cmd_simulate, {
+        "A": _number, "inv_temp": _number, "gamma": _number,
+        "delta_gap": _number, "init": _init, "n_steps": _integral,
+        "lzs_mode": _string, "mode": _string,
+        "field": {"kind": _string, "amplitude": _number, "angular_rate": _number,
+                  "t_start": _number, "t_end": _number}}, ("steps", "mode")),
+}
+# scalar flag -> (the config key it sets, its argparse options)
+_FLAGS = {
+    "sites": ("sites", {"type": int}),
+    "steps": ("n_steps", {"type": int}),
+    "mode": ("mode", {"choices": list(dynamics.COEFF_MODES)}),
 }
 
 
@@ -288,18 +286,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spincluster",
         description="Spin-cluster invariants, spectra, and dynamics.")
     sub = parser.add_subparsers(dest="command")
-    for name in _HANDLERS:
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("config_path", nargs="?", metavar="CONFIG",
                        help="JSON config document")
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
-        if name in ("q-spectrum", "check-yangian", "commutant"):
-            p.add_argument("--sites", type=int)
-        if name == "simulate":
-            p.add_argument("--steps", type=int)
-            p.add_argument("--mode", choices=list(dynamics.COEFF_MODES))
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag][1])
     return parser
 
 
@@ -330,10 +325,11 @@ def _load_config(args) -> dict:
                 and isinstance(loaded.get("field"), dict):
             loaded["field"] = {**cfg["field"], **loaded["field"]}
         cfg.update(loaded)
-    for flag, key in (("sites", "sites"), ("steps", "n_steps"), ("mode", "mode")):
-        if getattr(args, flag, None) is not None:
-            cfg[key] = getattr(args, flag)
-    return _read(cfg, _SPECS[args.command], args.command)
+    _, spec, flags = _COMMANDS[args.command]
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            cfg[_FLAGS[flag][0]] = getattr(args, flag)
+    return _read(cfg, spec, args.command)
 
 
 def main(argv=None) -> int:
@@ -349,7 +345,7 @@ def main(argv=None) -> int:
     try:
         # non-finite intermediates are caught by the gates and by _json
         with np.errstate(all="ignore"):
-            pieces = _HANDLERS[args.command](_load_config(args))
+            pieces = _COMMANDS[args.command][0](_load_config(args))
             # every gate has run: only now is --out opened or a byte written
             with (open(args.out, "w") if args.out
                   else contextlib.nullcontext(sys.stdout)) as out:

@@ -90,7 +90,8 @@ class FieldProfile:
             raise ConfigError("t_end - t_start must be finite")
 
     def field(self, t):
-        """B(t); a float for a scalar t, an array for an array of times."""
+        """B(t); a float for a scalar t, an array for an array of times.  A
+        zero field is 0, never -0, whatever the amplitude's sign."""
         t = np.asarray(t, dtype=float)
         if self.kind == "sinusoid":
             b = self.amplitude * np.sin(self.angular_rate * t)
@@ -99,7 +100,7 @@ class FieldProfile:
             b = self.amplitude * (2.0 * frac - 1.0)
         else:
             b = np.full(t.shape, self.amplitude)
-        return _as_float(b)
+        return _as_float(0.0 + b)
 
 
 def _as_float(value):
@@ -329,9 +330,9 @@ def integrate_magnetization(params: RateParams, profile: FieldProfile,
             _check_populations(t_nodes[start:stop + 1], *y[:, start:stop + 1])
 
     n = m_norm = y[0]  # one array, formatted once by the writer
-    if adiabatic:  # times cos(beta)
+    if adiabatic:  # times cos(beta); 0.0 + so that a zero is never -0
         omega = level_scale(b_nodes)
-        m_norm = n * np.where(omega > 0.0, gamma * b_nodes / np.where(
+        m_norm = 0.0 + n * np.where(omega > 0.0, gamma * b_nodes / np.where(
             omega > 0.0, omega, 1.0), 0.0)
     return Trajectory(*read_only(t_nodes, b_nodes, m_norm, y[1], n))
 
@@ -432,8 +433,6 @@ def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray, delta_gap: float)
 @dataclass(frozen=True)
 class LevelComparisonReport:
     b_grid: np.ndarray
-    delta_gap: float
-    gamma: float
     numeric: np.ndarray          # (n_grid, 9) sorted eigenvalues
     printed: np.ndarray          # (n_grid, 9) uncorrected closed forms
     corrected: np.ndarray        # (n_grid, 9) dimensionally repaired forms
@@ -514,8 +513,6 @@ def coupled_levels_report(B_grid, delta_gap: float,
         raise NumericalCheckError("closed-form levels overflow on this grid")
     return LevelComparisonReport(
         b_grid=b_grid,
-        delta_gap=float(delta_gap),
-        gamma=float(gamma),
         numeric=numeric,
         printed=printed,
         corrected=corrected,

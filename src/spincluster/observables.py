@@ -5,8 +5,6 @@ Local moments are reported in units of the Bohr magneton as
 fully "down" site +g/2 with the default g = 2.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ConfigError
@@ -14,17 +12,6 @@ from .operators import SpinRegister, site_spin
 
 STATE_NORM_ATOL = 1e-10
 DEFAULT_G_FACTOR = 2.0
-
-
-class MomentVector(NamedTuple):
-    """Per-site moments plus the g-factor they were computed with."""
-
-    mu: np.ndarray
-    g: float
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.mu))
 
 
 def _checked_state(register: SpinRegister, state) -> np.ndarray:
@@ -39,11 +26,12 @@ def _checked_state(register: SpinRegister, state) -> np.ndarray:
 
 
 def local_moments(register: SpinRegister, state,
-                  g: float = DEFAULT_G_FACTOR) -> MomentVector:
-    """mu_i = -g <state| S_i^z |state| for every site."""
+                  g: float = DEFAULT_G_FACTOR) -> np.ndarray:
+    """mu_i = -g <state| S_i^z |state> for every site, as an array; an
+    unpolarized site carries 0, never -0."""
     vec = _checked_state(register, state)
     mu = np.empty(register.n_sites)
     for k in range(register.n_sites):
         sz = site_spin(register, k).z
-        mu[k] = -g * np.real(np.vdot(vec, sz @ vec))
-    return MomentVector(mu, float(g))
+        mu[k] = 0.0 - g * np.real(np.vdot(vec, sz @ vec))
+    return mu

@@ -47,9 +47,8 @@ def _term(c, x):
 
 def level_energy(row: LevelRow, x, y):
     """A level's energy at couplings (x, y), floats or arrays; zero
-    coefficients contribute no term."""
-    terms = [_term(c, v) for c, v in zip(row.energy, (x, y)) if c]
-    return sum(terms[1:], terms[0])
+    coefficients contribute no term, and a zero energy is 0, never -0."""
+    return sum((_term(c, v) for c, v in zip(row.energy, (x, y)) if c), 0.0)
 
 
 def tied_ground(energies):

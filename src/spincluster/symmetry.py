@@ -67,7 +67,6 @@ class CouplingFamily:
     """Orthonormal basis of the commutant nullspace."""
 
     basis: list
-    dimension: int
     singular_values: np.ndarray
 
 
@@ -106,10 +105,9 @@ def commutant_family(register: SpinRegister, q_matrix: np.ndarray) -> CouplingFa
     for vec in vh[rank:].real:
         pivot = int(np.argmax(np.abs(vec)))
         if vec[pivot] < 0:
-            vec = -vec
+            vec = 0.0 - vec  # an exact zero stays 0, never -0
         basis.append(CouplingSet(register.n_sites, dict(zip(pairs, vec))))
-    return CouplingFamily(basis=basis, dimension=len(basis),
-                          singular_values=sv)
+    return CouplingFamily(basis=basis, singular_values=sv)
 
 
 def family_projection_residual(family: CouplingFamily, couplings) -> float:

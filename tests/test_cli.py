@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,12 +21,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import spincluster
-from spincluster import multiplets, operators, yangian
-from spincluster.cli import main
+from spincluster import cli, multiplets, operators, yangian
+from spincluster.cli import PRESETS, main
 from spincluster.dynamics import FieldProfile, RateParams
 from spincluster.spectra import FAMILIES
 from test_dynamics import (SCAN_ATOL, assert_levels_near_complex_eigh,
                            complex_eigh_levels, rk4_oracle)
+from test_surface import CONFIGS
 
 # main runs its handler with numpy warnings off; none may leak to stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -122,6 +124,17 @@ def test_preset_subcommand_mismatch():
     code, _, err = run("simulate", "--preset", "v6-triangle")
     assert code == 2
     assert "does not configure" in err
+
+
+def test_each_flag_sets_a_key_of_its_own_command_spec():
+    # so a row cannot add a flag whose value its own config would reject
+    used = set()
+    for name, (_, spec, flags) in cli._COMMANDS.items():
+        for flag in flags:
+            assert flag in cli._FLAGS, (name, flag)
+            assert cli._FLAGS[flag][0] in spec, (name, flag)
+        used.update(flags)
+    assert used == set(cli._FLAGS)
 
 
 # --- invariant / symmetry commands -----------------------------------------
@@ -304,7 +317,9 @@ def test_moments_degenerate_ground_needs_label(tmp_path):
      "triangle takes couplings ['J12', 'J13'], not ['a13']"),
     ("moments", {"sites": 4, "a12": 1, "a13": -3, "J12": 5, "J13": 0},
      "parallelogram takes couplings ['a12', 'a13'], not ['J12', 'J13']"),
-], ids=["spectrum", "moments-3", "moments-4"])
+    ("spectrum", {"family": "bogus", "a12": 1, "a13": 2}, "unknown family 'bogus'"),
+    ("moments", {"sites": 2}, "moments needs sites = 3 or 4"),
+], ids=["spectrum", "moments-3", "moments-4", "unknown-family", "moments-2"])
 def test_other_family_couplings_are_config_errors(tmp_path, command, payload,
                                                   message):
     code, out, err = run(command, write_cfg(tmp_path, payload))
@@ -384,6 +399,11 @@ NAN, INF = float("nan"), float("inf")
     ("q-spectrum", {"sites": 3, "weights": [0.0, 0.0]}),
     ("check-yangian", {"sites": 4, "weights": [0.0, 0.0, 0.0]}),
     ("commutant", {"weights": [0.0, 0.0, 0.0, 0.0]}),
+    # an explicit initial state is a pair, not one number
+    ("simulate", {"init": [0.0]}),
+    # a nested object, and the document itself, must be JSON objects
+    ("simulate", {"field": 3}),
+    ("simulate", [0.0, 1.0]),
 ])
 def test_malformed_numbers_are_config_errors(tmp_path, command, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -609,6 +629,10 @@ def _levels_against_complex_eigh(out, payload):
 # forms were assembled from sorted magnitudes as 0.0 - m, 0, m, so that no
 # level prints as -0 whatever numpy's sort kernel does with equal zeros
 # (before, some printed and corrected cells read -0; no other cell moved).
+# The phase-map digests were taken once each level energy was summed from
+# 0.0, so that a zero energy is 0, never -0 (before, the origin's ground
+# energy read -0 on x86, where np.min keeps the second of tied zeros; no
+# other cell moved).
 # The others come from the writers that each command had before all three
 # shared one, and the 101-point phase map from the writer before it
 # indexed its grid columns.  The writer's blocks hold about 5 * 1024 floats
@@ -646,13 +670,13 @@ def _levels_against_complex_eigh(out, payload):
         "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
                       "n_grid": 71},
         None,
-        "8f4fa8894f525f6f6086ae2bd36900d86d0acf246986bed6566a2be9f8e429d8",
+        "0b89ee98fd139199183fef7a9353f23c4d62241127a3ee84ed530d28e09c4135",
         id="phase-map-71"),
     pytest.param(
         "phase-map", {"a12_range": [-35, 35], "a13_range": [-35, 35],
                       "n_grid": 101},
         None,
-        "8558317d3f30cb88e26f4867a695e61c6953ae0104b5dc2267f32e5d33548e58",
+        "3e94f42fb0120782b483ee09a19a61dca250b2f54f0c96bb15417b3b1dbee927",
         id="phase-map-101"),
     pytest.param(
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 400,
@@ -688,6 +712,53 @@ def test_preset_overlaid_by_config(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["params"] == {"J12": 65.0, "J13": 9.0}
+
+
+def test_field_merges_item_wise_over_a_preset(tmp_path):
+    # the file's field amplitude replaces the preset's; its t_end = pi stays
+    # (FieldProfile's own default is 2 pi)
+    merged = run("simulate", "--preset", "fig5-lzs", "--steps", "20000",
+                 write_cfg(tmp_path, {"field": {"amplitude": 5.0}}))
+    explicit = run("simulate", "--steps", "20000", write_cfg(tmp_path, {
+        "field": {"kind": "sinusoid", "amplitude": 5.0, "angular_rate": 1.0,
+                  "t_start": 0.0, "t_end": math.pi},
+        "delta_gap": 0.1, "init": "equilibrium", "lzs_mode": "adiabatic"}))
+    assert merged[0] == 0
+    assert merged == explicit
+    assert merged[1].splitlines()[-1].split(",")[0] == "%.17g" % math.pi
+
+
+# -0 or -0.0 as a whole JSON number or CSV cell
+NEGATIVE_ZERO = re.compile(r"(?<![\w.+-])-0(\.0*)?(?![\w.])")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("commutant", {"sites": 3}),  # a basis vector's zeros after its sign flip
+    ("spectrum", {"family": "parallelogram", "a12": 0.0, "a13": 0.0}),
+    ("spectrum", {"family": "triangle", "J12": 0.0, "J13": 0.0}),
+    # unpolarized sites, and m = -S of an S = 0 level
+    ("moments", {"sites": 4, "a12": 1.0, "a13": 1.0, "label": "singlet_minus"}),
+    # the six levels tied at zero at the origin
+    ("phase-map", {"a12_range": [-1.0, 1.0], "a13_range": [-1.0, 1.0],
+                   "n_grid": 3}),
+    # a zero field crossed with a negative amplitude
+    ("simulate", {"n_steps": 200,
+                  "field": {"kind": "sinusoid", "amplitude": -2.0}}),
+    ("simulate", {"n_steps": 200,
+                  "field": {"kind": "linear_ramp", "amplitude": -2.0,
+                            "t_start": -1.0, "t_end": 1.0}}),
+    # cos(beta) = 0 at B = 0 times a negative n
+    ("simulate", {"n_steps": 200, "lzs_mode": "adiabatic",
+                  "init": "polarized_up",
+                  "field": {"kind": "sinusoid", "amplitude": 2.0}}),
+] + CONFIGS + [(command, preset) for preset, commands in PRESETS.items()
+               for command in commands])
+def test_computed_zeros_are_written_as_zero(tmp_path, command, payload):
+    argv = ([command, "--preset", payload] if isinstance(payload, str)
+            else [command, write_cfg(tmp_path, payload)])
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert NEGATIVE_ZERO.search(out) is None
 
 
 # --- the CLI contract over generated configs ---------------------------------

@@ -937,3 +937,5 @@ def test_rate_params_validation():
         FieldProfile(t_start=1.0, t_end=0.0)
     with pytest.raises(ConfigError):
         FieldProfile(kind="sawtooth")
+    with pytest.raises(ConfigError, match="^amplitude must be finite$"):
+        FieldProfile(amplitude=float("inf"))

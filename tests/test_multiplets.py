@@ -154,6 +154,14 @@ def test_member_looks_m_up_exactly(m):
         branch_columns(SpinRegister(4), 1.0, m)
 
 
+def test_level_state_and_mixing_pair_check_their_inputs():
+    with pytest.raises(ConfigError, match="^unknown level label 'bogus'$"):
+        level_state(SpinRegister(3), "bogus", -0.5)
+    with pytest.raises(ConfigError,
+                       match="^mixing_pair is defined for the 4-site register$"):
+        mixing_pair(SpinRegister(3), -1.0)
+
+
 def test_no_closed_form_for_two_sites():
     with pytest.raises(ConfigError):
         invariant_eigenstates(SpinRegister(2))

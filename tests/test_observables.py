@@ -25,9 +25,8 @@ def test_shared_b_triplet_moment_pattern():
     second = [st_ for st_ in invariant_eigenstates(R4)
               if st_.S == 1.0 and st_.m == -1.0 and abs(st_.q + 0.5) < 1e-9][1]
     mv = local_moments(R4, second.vector)
-    assert np.max(np.abs(mv.mu - np.array([0.9, 0.1, 0.1, 0.9]))) < MOMENT_ATOL
-    assert mv.total == pytest.approx(2.0, abs=MOMENT_ATOL)
-    assert mv.g == DEFAULT_G_FACTOR
+    assert np.max(np.abs(mv - np.array([0.9, 0.1, 0.1, 0.9]))) < MOMENT_ATOL
+    assert mv.sum() == pytest.approx(2.0, abs=MOMENT_ATOL)
 
 
 def test_three_site_doublet_moments():
@@ -35,14 +34,14 @@ def test_three_site_doublet_moments():
     beta = _state(R3, 0.5, -0.5, -2.25)
     mva = local_moments(R3, alpha)
     mvb = local_moments(R3, beta)
-    assert np.max(np.abs(mva.mu - np.array([2 / 3, -1 / 3, 2 / 3]))) < MOMENT_ATOL
-    assert np.max(np.abs(mvb.mu - np.array([0.0, 1.0, 0.0]))) < MOMENT_ATOL
+    assert np.max(np.abs(mva - np.array([2 / 3, -1 / 3, 2 / 3]))) < MOMENT_ATOL
+    assert np.max(np.abs(mvb - np.array([0.0, 1.0, 0.0]))) < MOMENT_ATOL
 
 
 def test_moment_scaling_with_g():
     beta = _state(R3, 0.5, -0.5, -2.25)
     mv = local_moments(R3, beta, g=3.0)
-    assert mv.mu[1] == pytest.approx(1.5, abs=MOMENT_ATOL)
+    assert mv[1] == pytest.approx(1.5, abs=MOMENT_ATOL)
 
 
 @seed(401)
@@ -54,7 +53,7 @@ def test_moment_sum_rule(n_sites, data):
     states = invariant_eigenstates(register)
     st_ = states[data.draw(st.integers(min_value=0, max_value=len(states) - 1))]
     mv = local_moments(register, st_.vector)
-    assert mv.total == pytest.approx(-DEFAULT_G_FACTOR * st_.m, abs=MOMENT_ATOL)
+    assert mv.sum() == pytest.approx(-DEFAULT_G_FACTOR * st_.m, abs=MOMENT_ATOL)
 
 
 def test_local_moments_input_validation():

@@ -111,6 +111,17 @@ def test_cross_antisymmetry_and_triple():
     assert np.max(np.abs(full.y - cross_component(s0, s1, 1))) == 0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda r: embed(r, 3, np.eye(2)), "site 3 out of range for 3 sites"),
+    (lambda r: embed(r, -1, np.eye(2)), "site -1 out of range for 3 sites"),
+    (lambda r: product_state(r, "ud"), "pattern length 2 != register size 3"),
+    (lambda r: superposition(r, {"uud": 0.0}), "cannot normalize the zero vector"),
+], ids=["site-past-end", "negative-site", "short-pattern", "zero-vector"])
+def test_state_and_embedding_inputs_are_checked(build, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build(SpinRegister(3))
+
+
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NumericalCheckError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

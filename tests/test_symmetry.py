@@ -54,8 +54,8 @@ def test_coupling_set_rejects_unknown_pairs():
 
 
 def test_commutant_dimensions():
-    assert commutant_family(R3, Q3).dimension == 2
-    assert commutant_family(R4, Q4).dimension == 3
+    assert len(commutant_family(R3, Q3).basis) == 2
+    assert len(commutant_family(R4, Q4).basis) == 3
 
 
 def test_three_site_family_is_the_isosceles_plane():
@@ -185,11 +185,28 @@ def test_diagonalizing_theta_kills_offdiagonal():
     assert -math.pi / 2 < theta <= math.pi / 2
 
 
+def test_diagonalizing_theta_at_equal_couplings_and_past_minus_half_pi(monkeypatch):
+    # a12 = a34 = a13: the block is already diagonal, and exactly so here
+    member = constrained_couplings_parallelogram(6.0, 6.0, 6.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "arctan2", None)  # the early return needs no angle
+        assert diagonalizing_theta(R4, member) == 0.0
+    # arctan2 gives about -1.86 here, folded by pi into (-pi/2, pi/2]
+    member = constrained_couplings_parallelogram(1.0, 0.0, 0.0)
+    theta = diagonalizing_theta(R4, member)
+    assert theta == pytest.approx(math.pi - 1.8605480282309441, abs=1e-12)
+    assert abs(rotated_offdiagonal(member, theta)) < 1e-12
+
+
 def test_membership_guard_rejects_outsiders():
     generic = CouplingSet(4, {(1, 2): 1.0, (3, 4): 1.0, (1, 3): 1.0,
                               (2, 4): 0.0, (1, 4): 0.0, (2, 3): 0.0})
     with pytest.raises(ConfigError):
         extract_mixing_theta(R4, generic)
+    member = constrained_couplings_parallelogram(1.0, 2.0, 0.0)
+    with pytest.raises(ConfigError,
+                       match="^mixing angle is defined for the four-site family$"):
+        extract_mixing_theta(R3, member)
 
 
 def test_hamiltonian_requires_matching_register():

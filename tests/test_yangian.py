@@ -306,6 +306,20 @@ def test_verbatim_mode_differs_off_diagonally():
     assert gaps["quartet"] < 1e-14     # diagonal entries agree
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: triple_prefactors([0.0] * 5), "unsupported register size 5"),
+    (lambda: expanded_q(SpinRegister(2), [0.0, 0.0]),
+     "closed-form expansion covers 3 or 4 sites only"),
+    (lambda: action_blocks(2, [0.0, 0.0]),
+     "closed-form action matrices cover 3 or 4 sites only"),
+    (lambda: action_blocks(3, [0.0] * 3, mode="bogus"),
+     "unknown action-matrix mode 'bogus'"),
+], ids=["prefactors-5", "expansion-2", "blocks-2", "blocks-mode"])
+def test_closed_forms_reject_what_they_do_not_cover(build, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build()
+
+
 # --- weight-independent products, built once -----------------------------
 
 def _yangian_oracle(register, u):
