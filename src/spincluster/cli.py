@@ -52,10 +52,10 @@ PRESETS = {
 
 # Config value kinds: each reads one JSON value or raises ConfigError.
 def _number(value, name: str) -> float:
-    """A finite JSON number, not a bool or a numeric string, as a float."""
+    """A finite JSON number, not a bool or a numeric string, as a float (-0.0 as 0)."""
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return 0.0 + float(value)
 
 
 def _integral(value, name: str) -> int:
@@ -294,7 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
         for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag][1])
+            key, options = _FLAGS[flag]
+            p.add_argument(f"--{flag}", help=f"sets {key}, over the config and preset",
+                           **options)
     return parser
 
 

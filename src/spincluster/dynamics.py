@@ -407,10 +407,26 @@ def _spin1_pair_terms():
     return read_only(zeeman[:5, 5:], cross[:5, 5:])
 
 
-def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray, delta_gap: float):
-    """Sorted 9-level predictions of the printed and the corrected radical,
-    one row per effective field in b, where omega is hypot(b, delta_gap);
-    flag True if a squared printed level went negative."""
+def _sorted3(x, y, z):
+    """x, y, z ascending on a new last axis by a min/max network; NaN spreads."""
+    low, high = np.minimum(x, y), np.maximum(x, y)
+    middle = np.minimum(high, z)
+    return np.stack([np.minimum(low, middle), np.maximum(low, middle),
+                     np.maximum(high, z)], axis=-1)
+
+
+def _nine_levels(m):
+    """Sorted magnitudes (..., 3) as nine levels 0.0 - m[::-1], 0, 0, 0, m:
+    0.0 - m, not -m, so that a magnitude +0.0 never prints as -0."""
+    levels = np.zeros(m.shape[:-1] + (9,))
+    np.subtract(0.0, m[..., ::-1], out=levels[..., :3])
+    levels[..., 6:] = m
+    return levels
+
+
+def _closed_form_magnitudes(b: np.ndarray, omega: np.ndarray, delta_gap: float):
+    """Sorted magnitudes (2, n, 3) of the printed and the corrected radical at
+    fields b, omega = hypot(b, delta_gap); True if a squared printed level is < 0."""
     # **4 on numpy scalars: np.power may differ in the last bit, and a
     # float's ** raises OverflowError where a numpy scalar gives inf
     b4 = np.array([value ** 4 for value in b])
@@ -423,11 +439,7 @@ def _nine_level_closed_forms(b: np.ndarray, omega: np.ndarray, delta_gap: float)
     imaginary = bool(np.any((eb_sq[0] < 0.0) | (ea_sq[0] < 0.0)))
     ea = np.sqrt(np.where(ea_sq < 0.0, 0.0, ea_sq))
     eb = np.sqrt(np.where(eb_sq < 0.0, 0.0, eb_sq))
-    m = np.sort(np.stack([np.broadcast_to(omega, ea.shape), ea, eb], axis=2), axis=2)
-    # 0.0 - m, as in the solve: no level prints as -0, whatever the sort kernel
-    printed, corrected = np.concatenate([0.0 - m[..., ::-1], np.zeros_like(m), m],
-                                        axis=2)
-    return printed, corrected, imaginary
+    return _sorted3(omega, ea, eb), imaginary
 
 
 @dataclass(frozen=True)
@@ -445,36 +457,49 @@ class LevelComparisonReport:
     def to_csv(self) -> Iterator[str]:
         """One row per field point and level: a level column is gathered
         from each field's (0, m1, m2, m3) at 4i, rows 0-2 as ~(4i + 3 - row)."""
-        point, level = np.divmod(np.arange(self.numeric.size), 9)
-        magnitude = np.where(level < 3, ~(4 * point + 3 - level),
-                             4 * point + np.maximum(level - 5, 0))
+        n = len(self.b_grid)
+        point, level = np.repeat(np.arange(n), 9), np.tile(np.arange(9), n)
+        magnitude = (np.outer(np.arange(0, 4 * n, 4), [-1] * 3 + [1] * 6)
+                     + [-4, -3, -2, 0, 0, 0, 1, 2, 3]).ravel()
         return csv_pieces("B,level,numeric,printed,corrected", (
             (self.b_grid, point), (np.arange(9.0), level),
             *((levels[:, 5:].ravel(), magnitude)
               for levels in (self.numeric, self.printed, self.corrected))))
 
 
-def _check_nine_levels(b_grid, evals, omega, delta_gap):
-    """Zero count and the +-omega pair at each point, each bound times
-    max(1, max_k |E_k|) there; raises at the first failing point.  Returns
-    (fewest zeros, worst pair gap)."""
-    scale = np.maximum(1.0, np.max(np.abs(evals), axis=1, keepdims=True))
-    zeros = np.count_nonzero(np.abs(evals) <= LEVEL_ZERO_COUNT_ATOL * scale, axis=1)
-    targets = np.stack([omega, -omega], axis=1)
-    devs = np.min(np.abs(evals[:, None, :] - targets[:, :, None]), axis=2)
-    missing = devs > INVARIANT_LEVEL_ATOL * scale
-    failed = (zeros < 3) | np.any(missing, axis=1)
+def _check_nine_levels(b_grid, m, omega, delta_gap):
+    """Zero count and +-omega pair of the nine levels from sorted magnitudes m,
+    each bound times max(1, max |m|): a level -m_k is as far from -omega as m_k
+    from omega.  Raises at the first failing point, else (fewest zeros, worst gap)."""
+    scale = np.maximum(1.0, m[:, 2])
+    bound = LEVEL_ZERO_COUNT_ATOL * scale
+    zeros = 3 * (0.0 <= bound) + 2 * np.count_nonzero(m <= bound[:, None], axis=1)
+    gap = np.minimum(np.min(np.abs(m - omega[:, None]), axis=1), omega)
+    missing = gap > INVARIANT_LEVEL_ATOL * scale
+    failed = (zeros < 3) | missing
     if np.any(failed):
         i = int(np.argmax(failed))
         if zeros[i] < 3:
             raise NumericalCheckError(
                 f"only {zeros[i]} zero eigenvalues at B = {b_grid[i]:.6g} "
                 f"(delta_gap = {delta_gap})")
-        k = int(np.argmax(missing[i]))
         raise NumericalCheckError(
-            f"level {targets[i, k]:.6g} missing from 9x9 spectrum at "
-            f"B = {b_grid[i]:.6g}: nearest is {devs[i, k]:.3e} away")
-    return int(zeros.min()), float(devs.max())
+            f"level {omega[i]:.6g} missing from 9x9 spectrum at "
+            f"B = {b_grid[i]:.6g}: nearest is {gap[i]:.3e} away")
+    return int(zeros.min()), float(gap.max())
+
+
+def _eigvalsh2(a, b, c):
+    """Eigenvalues (rt1, rt2), |rt1| >= |rt2|, of symmetric [[a, b], [b, c]] by
+    LAPACK's dlae2 in correctly rounded ufuncs: the same bits on any kernels."""
+    sm, adf, ab = a + c, np.abs(a - c), np.abs(b + b)
+    big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+    rt = big * np.sqrt(1.0 + (small / np.where(big > 0.0, big, 1.0)) ** 2)
+    rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
+    acmx, acmn = (np.where(np.abs(a) > np.abs(c), *pair) for pair in ((a, c), (c, a)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rt1 = 0 only where sm = 0
+        rt2 = np.where(sm != 0.0, (acmx / rt1) * acmn - (b / rt1) * b, 0.0 - rt1)
+    return rt1, rt2
 
 
 def coupled_levels_report(B_grid, delta_gap: float,
@@ -494,31 +519,24 @@ def coupled_levels_report(B_grid, delta_gap: float,
         b_eff = gamma * b_grid
         if not (np.all(np.isfinite(b_eff)) and math.isfinite(delta_gap)):
             raise ConfigError("levels report needs finite fields, gamma*B and delta_gap")
-        block = b_eff[:, None, None] * zeeman + delta_gap * cross
-        plus, minus = block[:, :4, :2], block[:, 4, 2:]
+        # M's 4x2 block of C = +1 and 1x2 block of C = -1, fields last
+        plus = zeeman[:4, :2, None] * b_eff + delta_gap * cross[:4, :2, None]
+        minus = zeeman[4, 2:, None] * b_eff + delta_gap * cross[4, 2:, None]
         # each C = +1 block scaled to 1: a Gram matrix never overflows
-        scale = np.max(np.abs(plus), axis=(1, 2))
-        unit = plus / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-        gram = hermitian(np.swapaxes(unit, 1, 2) @ unit)
-    sigma = scale[:, None] * np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
-    m = np.sort(np.column_stack([np.hypot(*minus.T), sigma]), axis=1)
-    # 0.0 - m, not -m: a level of magnitude +0.0 prints as 0, never -0
-    numeric = np.concatenate([0.0 - m[:, ::-1], np.zeros_like(m), m], axis=1)
-    # math.hypot: np.hypot may take a SIMD path that differs in the last bit
+        scale = np.max(np.abs(plus), axis=(0, 1))
+        unit = plus / np.where(scale > 0.0, scale, 1.0)
+        # its Gram entries summed over the four rows in turn, then gated as a stack
+        g00, g01, g11 = sum(unit[:, [0, 0, 1]] * unit[:, [0, 1, 1]])
+        hermitian(np.stack([g00, g01, g01, g11], axis=1).reshape(-1, 2, 2))
+    sigma = (scale * np.sqrt(np.maximum(rt, 0.0)) for rt in _eigvalsh2(g00, g01, g11))
+    m = _sorted3(np.hypot(*minus), *sigma)
+    # math.hypot, not np.hypot, whose last bits differ: the pinned closed forms use it
     omega = np.array([math.hypot(value, delta_gap) for value in b_eff.tolist()])
-    printed, corrected, any_imag = _nine_level_closed_forms(b_eff, omega, delta_gap)
-    min_zeros, worst_invariant = _check_nine_levels(b_grid, numeric, omega,
-                                                    delta_gap)
-    if not (np.isfinite(printed).all() and np.isfinite(corrected).all()):
+    closed, any_imag = _closed_form_magnitudes(b_eff, omega, delta_gap)
+    gates = _check_nine_levels(b_grid, m, omega, delta_gap)
+    if not np.isfinite(closed).all():
         raise NumericalCheckError("closed-form levels overflow on this grid")
-    return LevelComparisonReport(
-        b_grid=b_grid,
-        numeric=numeric,
-        printed=printed,
-        corrected=corrected,
-        printed_max_dev=np.max(np.abs(printed - numeric), axis=0),
-        corrected_max_dev=np.max(np.abs(corrected - numeric), axis=0),
-        printed_goes_imaginary=any_imag,
-        min_zero_count=min_zeros,
-        invariant_pair_max_dev=worst_invariant,
-    )
+    # each level's worst gap, mirrored about the zero levels: |0.0 - d| = d
+    dev = np.abs(_nine_levels(np.max(np.abs(closed - m), axis=1)))
+    return LevelComparisonReport(b_grid, _nine_levels(m), *_nine_levels(closed), *dev,
+                                 any_imag, *gates)

@@ -135,9 +135,9 @@ def _table(fields, values):
     used = fields.any(axis=1)
     used[_SIGN] = True
     rows = fields[used].T
-    negated = rows[::-1].copy()
-    negated[:, _SIGN] = (values[::-1] > 0.0) * np.uint8(ord("-"))
-    return np.concatenate([rows, negated])
+    table = np.concatenate([rows, rows[::-1]])  # one copy of each
+    table[len(rows):, _SIGN] = (values[::-1] > 0.0) * np.uint8(ord("-"))
+    return table
 
 
 def _block_text(columns, block):

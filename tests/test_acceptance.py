@@ -182,7 +182,7 @@ def test_criterion_07_corner_moment_pattern():
     assert moments == pytest.approx([0.9, 0.1, 0.1, 0.9], abs=1e-12)
     assert moments.sum() == pytest.approx(2.0, abs=1e-12)
     print(f"[criterion 07] PASS — site moments "
-          f"{[round(v, 12) for v in moments]}, total {moments.sum():.12f}")
+          f"{[round(v, 12) for v in moments.tolist()]}, total {moments.sum():.12f}")
 
 
 def test_criterion_08_level_zero_axiom():

@@ -612,8 +612,7 @@ def _trajectory_against_step_loop(out, payload):
 
 def _levels_against_complex_eigh(out, payload):
     """Bound the numeric column of a levels-report CSV against complex eigh
-    at each field (LEVELS_RTOL); return the B,level,printed,corrected
-    columns as CSV text, the bytes of ``cut -d, -f1,2,4,5``."""
+    at each field (LEVELS_RTOL); return the CSV text whole."""
     rows = [line.split(",") for line in out.splitlines()]
     assert rows[0] == ["B", "level", "numeric", "printed", "corrected"]
     want = complex_eigh_levels(
@@ -621,7 +620,7 @@ def _levels_against_complex_eigh(out, payload):
         payload["delta_gap"], payload["gamma"])
     got = np.array([row[2] for row in rows[1:]], dtype=float)
     assert_levels_near_complex_eigh(got.reshape(want.shape), want)
-    return "".join(",".join(row[:2] + row[3:]) + "\n" for row in rows)
+    return out
 
 
 # sha256 of stdout of each CSV output, or of the columns that its bounding
@@ -649,16 +648,17 @@ def _levels_against_complex_eigh(out, payload):
 # its steps in a prefix scan, so M_norm,rho00,n are bounded against the
 # step loop instead (SCAN_ATOL); its 5000 steps fill part of one 8192-step
 # block, the last of its 32-step rows with 8 steps.
-# levels-report-37 and -400 pin their B,level,printed,corrected columns:
-# the numeric column, solved in the (C, Gamma) blocks, lies a few ulps off
-# complex eigh, so it is bounded against that instead (LEVELS_RTOL at each
-# field).  levels-report-5 (gap 0) still matches complex eigh to the byte.
+# levels-report-37 and -400 pin their whole CSV: the numeric column, solved
+# in the (C, Gamma) blocks by elementwise Grams and dlae2, has the same bits
+# on every BLAS/LAPACK and SIMD kernel set.  It lies a few ulps off complex
+# eigh, so it is also bounded against that (LEVELS_RTOL at each field).
+# levels-report-5 (gap 0) still matches complex eigh to the byte.
 @pytest.mark.parametrize("command, payload, bounded, digest", [
     pytest.param(
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,
                           "delta_gap": 0.7, "gamma": 1.3},
         _levels_against_complex_eigh,
-        "d27102fe515bc6df87da90f7fb6b2e8784e6bbabf1789c6f262ebedaebce0eef",
+        "eb11b88ac6a44905b48dfe469102adf8b3ebfe2e868d74464908a237b361b3e1",
         id="levels-report-37"),
     pytest.param(
         "levels-report", {"b_min": 1.0, "b_max": -1.0, "n_grid": 5,
@@ -682,7 +682,7 @@ def _levels_against_complex_eigh(out, payload):
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 400,
                           "delta_gap": 0.7, "gamma": 1.3},
         _levels_against_complex_eigh,
-        "ea5d92532e03694357ee4b346afd33b5d6a1db45dfbbc8551cc2b1916fe83d01",
+        "c00caa32c4be3592f46f817b625ed935020b7a42014dc9f121679ef4c6258432",
         id="levels-report-400"),
     pytest.param(
         "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,
@@ -757,6 +757,27 @@ def test_computed_zeros_are_written_as_zero(tmp_path, command, payload):
     argv = ([command, "--preset", payload] if isinstance(payload, str)
             else [command, write_cfg(tmp_path, payload)])
     code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert NEGATIVE_ZERO.search(out) is None
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("q-spectrum", {"sites": 3, "weights": [-0.0, 0.5, 0.5]}),
+    ("check-yangian", {"sites": 3, "weights": [-0.0, 0.5, 0.5]}),
+    ("commutant", {"sites": 3, "weights": [-0.0, 0.5, 0.5]}),
+    ("spectrum", {"family": "triangle", "J12": -0.0, "J13": 1}),
+    ("phase-map", {"a12_range": [-0.0, 1.0], "a13_range": [-1.0, -0.0],
+                   "n_grid": 2}),
+    ("moments", {"sites": 4, "a12": 1, "a13": 1, "label": "singlet_minus",
+                 "m": -0.0}),
+    ("levels-report", {"b_min": -0.0, "b_max": 1.0, "n_grid": 2,
+                       "delta_gap": -0.0, "gamma": 1.0}),
+    # the initial n = -0.0 is the first row's n and M_norm
+    ("simulate", {"init": [-0.0, 0.0], "n_steps": 50000,
+                  "field": {"kind": "sinusoid", "amplitude": 2.0}}),
+])
+def test_input_negative_zeros_are_read_as_zero(tmp_path, command, payload):
+    code, out, err = run(command, write_cfg(tmp_path, payload))
     assert (code, err) == (0, "")
     assert NEGATIVE_ZERO.search(out) is None
 

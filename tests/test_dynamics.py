@@ -893,19 +893,75 @@ def test_levels_report_gates_name_the_first_field(monkeypatch, bound,
 
 
 def test_levels_report_gate_fires_in_a_later_block(monkeypatch):
-    # a solve that returns NaN for the field B = 1e30 only, the sixth in
+    # a 2x2 solve that returns NaN for the field B = 1e30 only, the sixth in
     # the stack: its levels lose their scale, so no zero level is counted
-    solve = np.linalg.eigvalsh
+    solve = dynamics._eigvalsh2
 
-    def lossy(stack):
-        levels = solve(stack)
-        levels[5] = np.nan
-        return levels
+    def lossy(a, b, c):
+        rt1, rt2 = solve(a, b, c)
+        rt1[5] = np.nan
+        return rt1, rt2
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", lossy)
+    monkeypatch.setattr(dynamics, "_eigvalsh2", lossy)
     with pytest.raises(NumericalCheckError, match=r"^only 0 zero eigenvalues "
                        r"at B = 1e\+30 \(delta_gap = 0\.2\)$"):
         coupled_levels_report([0.5, 1.0, 1.5, 2.0, 2.5, 1e30, 3.0], 0.2)
+
+
+def _nine_column_gates(levels, omega):
+    """(fewest zeros, worst +-omega gap) read from all nine levels."""
+    scale = np.maximum(1.0, np.max(np.abs(levels), axis=1, keepdims=True))
+    zeros = np.count_nonzero(np.abs(levels) <= dynamics.LEVEL_ZERO_COUNT_ATOL * scale,
+                             axis=1)
+    targets = np.stack([omega, -omega], axis=1)
+    return zeros.min(), np.min(np.abs(levels[:, None, :] - targets[:, :, None]),
+                               axis=2).max()
+
+
+@seed(3232)
+@settings(max_examples=60, deadline=None)
+@given(b_grid=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+       delta_gap=st.sampled_from([0.0, 0.01]) | st.floats(0.0, 1e3),
+       gamma=st.floats(0.1, 3.0), factor=st.floats(0.0, 3.0))
+@example(b_grid=[-1.0, -1e-12, 0.0, 1e-12, 1.0], delta_gap=0.0, gamma=1.0, factor=0.1)
+@example(b_grid=[0.0], delta_gap=0.0, gamma=1.0, factor=2.0)
+@example(b_grid=[-0.5, -0.01, 0.0, 0.01, 0.5], delta_gap=0.01, gamma=1.3, factor=1.7)
+def test_level_gates_and_deviations_equal_the_nine_column_formulas(b_grid, delta_gap,
+                                                                   gamma, factor):
+    # the report reads each field's three magnitudes; the same figures from
+    # all nine levels, as zero counts, +-omega gaps and per-level deviations
+    report = coupled_levels_report(b_grid, delta_gap, gamma)
+    levels = report.numeric
+    omega = np.array([math.hypot(gamma * b, delta_gap) for b in b_grid])
+    assert (report.min_zero_count, report.invariant_pair_max_dev) \
+        == _nine_column_gates(levels, omega)
+    for dev, closed in ((report.printed_max_dev, report.printed),
+                        (report.corrected_max_dev, report.corrected)):
+        assert dev.tobytes() == np.max(np.abs(closed - levels), axis=0).tobytes()
+    # the pair gate off the pair too, where a zero level can be the nearest:
+    # factor * omega, with that gate off
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "INVARIANT_LEVEL_ATOL", np.inf)
+        assert dynamics._check_nine_levels(np.asarray(b_grid), levels[:, 6:],
+                                           factor * omega, delta_gap) \
+            == _nine_column_gates(levels, factor * omega)
+
+
+def test_2x2_solve_matches_eigvalsh():
+    # random symmetric stacks over 60 decades, then the edge rows: b = 0,
+    # a = c, the zero matrix, |b| >> |a - c| and a negative trace
+    rng = np.random.default_rng(3434)
+    a, b, c = rng.normal(size=(3, 4000)) * 10.0 ** rng.uniform(-30, 30, 4000)
+    a, b, c = (np.concatenate([x, edge]) for x, edge in zip((a, b, c), (
+        [2.0, 1.5, 0.0, 1.0, -3.0, -1.0, 1e-300],
+        [0.0, 0.7, 0.0, 1e12, 0.5, -2.0, 1e-300],
+        [-1.0, 1.5, 0.0, 1.0 + 2e-16, -4.0, -5.0, 1e-300])))
+    rt1, rt2 = dynamics._eigvalsh2(a, b, c)
+    assert np.all(np.abs(rt1) >= np.abs(rt2))
+    want = np.linalg.eigvalsh(np.stack([a, b, b, c], axis=1).reshape(-1, 2, 2))
+    got = np.sort(np.stack([rt1, rt2], axis=1), axis=1)
+    ulp = np.spacing(np.max(np.abs(want), axis=1, keepdims=True))
+    assert np.all(np.abs(got - want) <= 2.0 * ulp)
 
 
 @pytest.mark.parametrize("value, text", [
