@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .operators import hermitian, read_only
-from .table import csv_pieces
+from .table import csv_pieces, ladder_pieces
 
 DETAILED_BALANCE_RTOL = 1e-12
 POPULATION_WINDOW = 1e-6      # integrator abort threshold
@@ -455,16 +455,12 @@ class LevelComparisonReport:
     invariant_pair_max_dev: float
 
     def to_csv(self) -> Iterator[str]:
-        """One row per field point and level: a level column is gathered
-        from each field's (0, m1, m2, m3) at 4i, rows 0-2 as ~(4i + 3 - row)."""
-        n = len(self.b_grid)
-        point, level = np.repeat(np.arange(n), 9), np.tile(np.arange(9), n)
-        magnitude = (np.outer(np.arange(0, 4 * n, 4), [-1] * 3 + [1] * 6)
-                     + [-4, -3, -2, 0, 0, 0, 1, 2, 3]).ravel()
-        return csv_pieces("B,level,numeric,printed,corrected", (
-            (self.b_grid, point), (np.arange(9.0), level),
-            *((levels[:, 5:].ravel(), magnitude)
-              for levels in (self.numeric, self.printed, self.corrected))))
+        """Nine rows per field point, one per level: each level column is
+        written from its magnitudes, levels 6-8, as laid out by
+        ``_nine_levels`` (0.0 - m reversed, three +0.0, then m)."""
+        return ladder_pieces("B,level,numeric,printed,corrected", self.b_grid,
+                             [levels[:, 6:] for levels in
+                              (self.numeric, self.printed, self.corrected)])
 
 
 def _check_nine_levels(b_grid, m, omega, delta_gap):

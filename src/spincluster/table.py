@@ -108,92 +108,106 @@ def _float_fields(x):
     # a zero stood in as 1.0, written "1": it is "0" or "-0"
     zero = x == 0.0
     out[_DIGITS, np.flatnonzero(zero)] = ord("0")
-    # the sign stays in its slot: a negated gather sets it alone
+    # the sign stays in its slot: a negated ladder row sets it alone
     rest = np.flatnonzero(~(exact | zero))
     text = ("%.17g\0" * rest.size % tuple(np.abs(x[rest]).tolist())).split("\0")
     out[_SIGN + 1:, rest] = np.array(text[:-1], f"S{_WIDTH - 1}")[:, None].view(np.uint8).T
     return out
 
 
-def _column(column):
-    """(values, index, fields): a float array as (values, None, None), a pair
-    as (float values, index, None) or as (None, index, its strings' bytes)."""
-    if not isinstance(column, tuple):
-        return np.asarray(column).astype(float, copy=False), None, None
-    values, index = np.asarray(column[0]), np.asarray(column[1])
-    if values.dtype.kind not in "SU":
-        return values.astype(float, copy=False), index, None
-    if index.size and index.min() < 0:
-        raise ValueError("a string column's index has a negative entry")
-    return None, index, values.astype("S")[:, None].view(np.uint8)
-
-
-def _table(fields, values):
-    """A float table's rows of bytes without the slots none of its values
-    use (the sign slot kept), then those of 0.0 - values, reversed: index ~k
-    gathers 0.0 - values[k], "-" where values[k] > 0 and no sign elsewhere."""
+def _rows(fields, sign=False):
+    """Each value's bytes as a row, without the slots none of them use; with
+    sign, the sign slot is kept, first."""
     used = fields.any(axis=1)
-    used[_SIGN] = True
-    rows = fields[used].T
-    table = np.concatenate([rows, rows[::-1]])  # one copy of each
-    table[len(rows):, _SIGN] = (values[::-1] > 0.0) * np.uint8(ord("-"))
-    return table
+    used[_SIGN] |= sign
+    return fields[used].T
+
+
+def _column(column):
+    """A float array as (values, None); a pair as (its rows of bytes, index):
+    a float table formatted once, whole, or a string table encoded once."""
+    if not isinstance(column, tuple):
+        return np.asarray(column).astype(float, copy=False), None
+    values, index = np.asarray(column[0]), np.asarray(column[1])
+    if index.size and index.min() < 0:
+        raise ValueError("an index has a negative entry")
+    if values.dtype.kind in "SU":
+        return values.astype("S")[:, None].view(np.uint8), index
+    return _rows(_float_fields(values.astype(float, copy=False))), index
+
+
+def _layout(shape, widths):
+    """(lines, cells): NUL lines of ``shape + (bytes,)``, cells of the given
+    widths joined by "," and ended by a newline, and each cell's slots as a
+    view to write its bytes into."""
+    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators
+    lines = np.zeros((*shape, ends[-1]), np.uint8)
+    lines[..., ends - 1] = ord(",")
+    lines[..., -1] = ord("\n")
+    return lines, [lines[..., end - 1 - width:end - 1] for width, end in zip(widths, ends)]
+
+
+def _text(lines):  # the lines' bytes, NUL slots dropped, as text
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _block_text(columns, block):
-    """Rows ``block`` as CSV text, laid out row-major; a longer float table
-    is formatted over the range its rows use.  Every array made here is
-    released on return, before the text is yielded."""
-    ranges, parts = {}, {}  # per index: (low, high, its rows' index in range)
-    for values, index, fields in columns:
-        if index is None:
-            parts[id(values)] = values[block]
-        elif fields is None:
-            if id(index) not in ranges:
-                at = index[block]
-                wrapped = np.maximum(at, ~at)
-                low = int(wrapped.min())
-                ranges[id(index)] = (low, int(wrapped.max()) + 1,
-                                     np.where(at < 0, at + low, at - low))
-            parts[id(values), id(index)] = values[slice(*ranges[id(index)][:2])]
+    """Rows ``block`` as CSV text, laid out row-major.  Every array made
+    here is released on return, before the text is yielded."""
+    parts = {id(values): values[block] for values, index in columns if index is None}
     formatted = dict(zip(parts, np.split(_float_fields(np.concatenate(
         [*parts.values(), []])), np.cumsum([len(p) for p in parts.values()])[:-1], axis=1)))
-    cells = []
-    for values, index, fields in columns:
-        if index is None:
-            cells.append(formatted[id(values)].T)
-        elif fields is None:
-            low, high, at = ranges[id(index)]
-            cells.append(_table(formatted[id(values), id(index)],
-                                values[low:high]).take(at, axis=0))
-        else:
-            cells.append(fields.take(index[block], axis=0))
-    widths = [cell.shape[1] for cell in cells]
-    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # separators
-    lines = np.zeros((len(cells[0]), ends[-1]), np.uint8)
-    for cell, width, end in zip(cells, widths, ends):
-        lines[:, end - 1 - width:end - 1] = cell
-    lines[:, ends - 1] = ord(",")
-    lines[:, -1] = ord("\n")
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    cells = [formatted[id(values)].T if index is None else values.take(index[block], axis=0)
+             for values, index in columns]
+    lines, slots = _layout((len(cells[0]),), [cell.shape[1] for cell in cells])
+    for slot, cell in zip(slots, cells):
+        slot[...] = cell
+    return _text(lines)
 
 
 def csv_pieces(header: str, columns):
     """The header line, then a block of rows per piece: row i of the
     columns joined by ``,``.  A column is a float array, written as
     ``"%.17g" % v``, or a pair ``(values, index)`` of floats or strings
-    written verbatim, whose row i is ``values[index[i]]``, or for floats
-    ``0.0 - values[k]`` where index[i] is ~k < 0.  A float array passed at
+    written verbatim, whose row i is ``values[index[i]]`` (index >= 0); a
+    pair's values are formatted once, whole.  A float array passed at
     several positions is formatted once; a block formats about 5 * _BLOCK
     floats of the distinct float arrays in one pass."""
     yield header + "\n"
     columns = [_column(column) for column in columns]
-    rows = 5 * _BLOCK // max(1, len({id(values) for values, index, _ in columns
+    rows = 5 * _BLOCK // max(1, len({id(values) for values, index in columns
                                      if index is None}))
-    # a float table no longer than a block is formatted once, whole
-    columns = [(values, index, _table(_float_fields(values), values))
-               if fields is None and index is not None and values.size <= rows
-               else (values, index, fields) for values, index, fields in columns]
     count = len(columns[0][0] if columns[0][1] is None else columns[0][1])
     for start in range(0, count, rows):
         yield _block_text(columns, slice(start, start + rows))
+
+
+def ladder_pieces(header: str, keys, ladders):
+    """The header line, then nine rows per key, whole keys to a piece: row j
+    of key i is keys[i], j and, of each (n, 3) float array m in ladders,
+    0.0 - m[i, 2 - j] for j < 3, 0 for j < 6 and m[i, j - 6] after, each
+    float written as ``"%.17g" % v``.  A block of about 5 * _BLOCK rows
+    formats its keys and ladder values in one pass, ten values a key for
+    three ladders; a key's cell and a value's bytes are copied into all of
+    their rows, a negated value's with "-" in its sign slot where m > 0."""
+    yield header + "\n"
+    keys = np.asarray(keys, dtype=float)
+    step = 5 * _BLOCK // 9
+    for start in range(0, keys.size, step):
+        block = slice(start, start + step)
+        count = keys[block].size
+        key, *parts = np.split(_float_fields(np.concatenate(
+            [keys[block], *(m[block].ravel() for m in ladders)])),
+            count * (1 + 3 * np.arange(len(ladders))), axis=1)
+        key, parts = _rows(key), [_rows(part, sign=True).reshape(count, 3, -1)
+                                  for part in parts]
+        lines, (key_cell, level, *cells) = _layout(
+            (count, 9), [key.shape[1], 1, *(part.shape[2] for part in parts)])
+        key_cell[...] = key[:, None]
+        level[..., 0] = np.arange(ord("0"), ord("9"))  # "0" ... "8"
+        for cell, part, m in zip(cells, parts, ladders):
+            cell[:, 6:] = part
+            cell[:, :3] = part[:, ::-1]
+            cell[:, :3, _SIGN] = (m[block, ::-1] > 0.0) * np.uint8(ord("-"))
+            cell[:, 3:6, _SIGN] = ord("0")
+        yield _text(lines)

@@ -637,9 +637,9 @@ def _levels_against_complex_eigh(out, payload):
 # indexed its grid columns.  The writer's blocks hold about 5 * 1024 floats
 # of the distinct plain float columns: 1024 rows of adiabatic simulate,
 # 1280 of simulate with lzs_mode off (M_norm is n) and 5120 of phase-map;
-# levels-report has no plain float column, so its blocks hold 5120 rows,
-# and its field grid and level magnitudes are formatted per block over the
-# range of fields its rows use.  A piece of the text is one block.
+# levels-report is written in blocks of 568 whole fields (5112 rows), each
+# block's fields and magnitudes formatted in one pass.  A piece of the text
+# is one block.
 # simulate-5000 (5001 rows), levels-report-5 (45 rows), -400 (3600) and
 # phase-map-101 (10201) cross block edges or fill one block in part.  The
 # phase maps hold the six-way tie at the origin, the singlet ties on the

@@ -4,6 +4,7 @@ Slow-ish integrations are kept to a few ten-thousand steps; the million
 step endurance run lives in the acceptance suite.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -36,7 +37,7 @@ from spincluster.dynamics import (
 )
 from spincluster.errors import ConfigError, NumericalCheckError
 from spincluster.operators import VectorOperator, cross_component, spin_matrices
-from test_table import assert_same_text, csv_text
+from test_table import PER_BLOCK, assert_same_text, csv_text
 
 RATE = st.floats(min_value=0.0, max_value=50.0,
                  allow_nan=False, allow_infinity=False)
@@ -824,10 +825,13 @@ def test_levels_solve_matches_complex_eigh_with_exact_symmetry(b_grid, delta_gap
     # the (C, Gamma) solve at every field: within LEVELS_RTOL of the 9x9
     # complex eigh, three exact +0.0 levels, and a ladder that is exactly
     # symmetric about them
-    numeric = coupled_levels_report(b_grid, delta_gap, gamma).numeric
+    report = coupled_levels_report(b_grid, delta_gap, gamma)
+    numeric = report.numeric
     assert_levels_near_complex_eigh(numeric,
                                     complex_eigh_levels(b_grid, delta_gap, gamma))
-    assert np.all(numeric[:, 3:6] == 0.0) and not np.signbit(numeric[:, 3:6]).any()
+    for levels in (numeric, report.printed, report.corrected):
+        # the writer writes these as the constant cell 0
+        assert np.all(levels[:, 3:6] == 0.0) and not np.signbit(levels[:, 3:6]).any()
     for k in range(9):  # bit for bit, the sign of a zero included
         assert numeric[:, k].tobytes() == (0.0 - numeric[:, 8 - k]).tobytes()
 
@@ -837,6 +841,13 @@ def test_levels_solve_matches_complex_eigh_with_exact_symmetry(b_grid, delta_gap
        delta_gap=st.floats(0.0, 2.0), gamma=st.floats(0.1, 3.0))
 @example(b_range=(-5.0, 5.0), n_grid=700, delta_gap=0.0, gamma=1.0)
 @example(b_range=(2.68e-86, -2.68e-86), n_grid=3, delta_gap=0.0, gamma=1.0)
+# whole fields to a block: one short of a block, one block, one more, and
+# two blocks and one; gap 0 with B through 0 puts zero magnitudes in the
+# negated rows
+@example(b_range=(-4.0, 3.0), n_grid=PER_BLOCK - 1, delta_gap=0.7, gamma=1.3)
+@example(b_range=(3.0, -4.0), n_grid=PER_BLOCK, delta_gap=0.2, gamma=0.9)
+@example(b_range=(-1.0, 1.0), n_grid=PER_BLOCK + 1, delta_gap=0.0, gamma=1.0)
+@example(b_range=(-5.0, 5.0), n_grid=2 * PER_BLOCK + 1, delta_gap=1.1, gamma=2.0)
 def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
                                                        delta_gap, gamma):
     # oracle: every column materialized, one B and one level index per row
@@ -848,16 +859,32 @@ def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
 
 
 def test_levels_report_does_not_depend_on_the_sort_kernel(monkeypatch):
-    # numpy's default float sort may not keep the sign bits of equal zeros;
-    # a stable sort does, and every level must come out bit for bit alike
+    # each field's three magnitudes are sorted by the min/max network
+    # _sorted3: every order of +0.0, equal magnitudes, inf and NaN among its
+    # arguments gives the same bits, ascending where no NaN spreads.  A -0.0
+    # would not (np.minimum and np.maximum return their second argument on
+    # a tie of zeros), and the report passes none: at gap 0, with B through
+    # 0, every order of its arguments gives each level bit for bit alike
+    sort = dynamics._sorted3
+    values = np.array([0.0, 1.0, 1.0, 2.0, math.inf, math.nan])
+    args = [a.ravel() for a in np.meshgrid(values, values, values, indexing="ij")]
+    want = sort(*args)
+    for order in itertools.permutations(args):
+        assert sort(*order).tobytes() == want.tobytes()
+    ordered = ~np.isnan(want).any(axis=1)
+    assert np.array_equal(want[ordered], np.sort(np.stack(args, axis=1)[ordered]))
     grid, delta_gap = np.linspace(-2.0, 2.0, 41), 0.0
     want = coupled_levels_report(grid, delta_gap)
-    sort = np.sort
-    monkeypatch.setattr(np, "sort", lambda a, axis=-1, **_: sort(a, axis, kind="stable"))
-    got = coupled_levels_report(grid, delta_gap)
-    for name in ("numeric", "printed", "corrected"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert "".join(got.to_csv()) == "".join(want.to_csv())
+    for order in itertools.permutations(range(3)):
+        def permuted(*args, order=order):
+            assert not any(np.any((a == 0.0) & np.signbit(a)) for a in args)
+            return sort(*(args[i] for i in order))
+
+        monkeypatch.setattr(dynamics, "_sorted3", permuted)
+        got = coupled_levels_report(grid, delta_gap)
+        for name in ("numeric", "printed", "corrected"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert "".join(got.to_csv()) == "".join(want.to_csv())
 
 
 @seed(2929)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincluster import table
-from spincluster.table import csv_pieces
+from spincluster.table import csv_pieces, ladder_pieces
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -252,62 +252,72 @@ def test_one_byte_wide_string_columns():
                              (np.array(["x", "", "y"]), index))
 
 
-# --- signed gathers: an index ~k writes 0.0 - values[k] --------------------
+# --- ladders: nine rows a key, 0.0 - m reversed, three zeros and m -------
 
-def signed_oracle(values, index):
-    """values[index], with 0.0 - values[k] where the index is ~k."""
-    values, index = np.asarray(values, dtype=float), np.asarray(index)
-    return np.where(index < 0, 0.0 - values[np.maximum(index, ~index)],
-                    values[np.maximum(index, ~index)])
+def ladder_oracle(keys, *ladders):
+    """The ladder's columns materialized: each key nine times, the level j
+    and, per ladder m, 0.0 - m[:, 2 - j], +0.0 three times and m[:, j - 6]."""
+    keys = np.asarray(keys, dtype=float)
+    return [np.repeat(keys, 9), np.tile(np.arange(9.0), keys.size),
+            *(np.column_stack([0.0 - m[:, ::-1], np.zeros((len(m), 3)), m]).ravel()
+              for m in ladders)]
 
 
-def assert_signed_as_oracle(*columns):
-    """csv_text on the columns against the oracle on each float pair's
-    materialized, negated where its index is negative, rows."""
-    materialized = [signed_oracle(*column) if isinstance(column, tuple)
-                    else np.asarray(column) for column in columns]
-    assert_same_text(csv_text("h", columns), oracle("h", materialized))
+def assert_ladder_as_oracle(keys, *ladders):
+    """ladder_pieces against the oracle on its materialized columns."""
+    assert_same_text("".join(ladder_pieces("h", keys, ladders)),
+                     oracle("h", ladder_oracle(keys, *ladders)))
 
 
 SIGNED = np.array([0.0, -0.0, 1e-86, -1e-86, 1e300, -1e300, 5e-324, -5e-324,
                    math.inf, -math.inf, math.nan, -math.nan, 2.68e-86, 123.25])
+PER_BLOCK = 5 * table._BLOCK // 9  # whole keys of a ladder block
 
 
-def test_negated_indices_write_zero_minus_the_value():
+def test_negated_rows_write_zero_minus_the_value():
+    # each SIGNED value at each of a key's three magnitudes, and negated
     k = np.arange(SIGNED.size)
-    index = np.concatenate([k, ~k, ~k[::-1], k[::-1]])
-    assert_signed_as_oracle((SIGNED, index), (-SIGNED, index))
-    text = csv_text("h", [(SIGNED, ~k)]).split("\n")[1:-1]
-    assert "-0" not in text and "-nan" not in text
+    m = SIGNED[np.stack([k, np.roll(k, 1), np.roll(k, 5)], axis=1)]
+    assert_ladder_as_oracle(SIGNED, m, -m)
+    lines = "".join(ladder_pieces("h", np.zeros(k.size), [m])).split("\n")[1:-1]
+    negated = {line.split(",")[2] for line in lines if int(line.split(",")[1]) < 3}
+    assert "-0" not in negated and "-nan" not in negated
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_whole_and_per_block_tables_across_block_edges(extra):
-    # a table of exactly a block's rows is formatted once, whole; one more
-    # value and it is formatted per block, over the range each block uses,
-    # and the ranges cross the block edges
+    # a float table of exactly a block's rows, or one more value, is
+    # formatted once, whole, its rows running across block edges; a ladder
+    # of the same values is formatted per block of whole keys
     rows = 5 * table._BLOCK
     rng = np.random.default_rng(extra)
     values = rng.standard_normal(rows + extra) * 10.0 ** rng.integers(-90, 30, rows + extra)
     values[::7] = np.where(rng.integers(0, 2, values[::7].size) == 1, -0.0, 0.0)
     k = (np.arange(3 * rows + 5) * 3 // 7 + rng.integers(-40, 40, 3 * rows + 5)) % values.size
-    index = np.where(rng.integers(0, 2, k.size) == 1, ~k, k)
-    assert_signed_as_oracle((values, index))
-    assert_signed_as_oracle((values, index[::-1].copy()), (values, np.sort(k)))
+    assert_indexed_as_oracle((values, k), (values, np.sort(k)))
+    keys = 2 * PER_BLOCK + extra
+    assert_ladder_as_oracle(values[:keys], values[keys:4 * keys].reshape(keys, 3))
 
 
-def test_one_signed_index_shared_by_three_columns():
+@pytest.mark.parametrize("keys", [1, PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1,
+                                  2 * PER_BLOCK + 1])
+def test_ladder_pieces_hold_whole_keys(keys):
+    rng = np.random.default_rng(keys)
+    m = np.sort(np.abs(rng.standard_normal((keys, 3))), axis=1)
+    pieces = list(ladder_pieces("h", np.linspace(-1.0, 1.0, keys), [m]))
+    assert pieces[0] == "h\n"
+    sizes = [piece.count("\n") for piece in pieces[1:]]
+    assert sizes == [9 * PER_BLOCK] * (keys // PER_BLOCK) + [9 * (keys % PER_BLOCK)] * (
+        keys % PER_BLOCK > 0)
+
+
+def test_three_ladders_share_one_layout():
     rng = np.random.default_rng(3)
     fields = 3 * table._BLOCK
-    tables = [np.column_stack([np.zeros(fields), np.sort(np.abs(
-        rng.standard_normal((fields, 3)) * 10.0 ** rng.integers(-6, 6, (fields, 1))),
-        axis=1)]).ravel() for _ in range(3)]
-    point, level = np.divmod(np.arange(9 * fields), 9)
-    slot = np.array([~3, ~2, ~1, 0, 0, 0, 1, 2, 3])[level]
-    sign = np.where(level < 3, -1, 1)
-    index = slot + 4 * point * sign
-    assert_signed_as_oracle(*[(values, index) for values in tables],
-                            (np.arange(9.0), level))
+    ladders = [np.sort(np.abs(rng.standard_normal((fields, 3))
+                              * 10.0 ** rng.integers(-6, 6, (fields, 1))), axis=1)
+               for _ in range(3)]
+    assert_ladder_as_oracle(rng.standard_normal(fields), *ladders)
 
 
 def test_a_negative_index_on_a_string_table_is_refused():
@@ -315,10 +325,18 @@ def test_a_negative_index_on_a_string_table_is_refused():
         list(csv_pieces("h", [(np.array(["a", "b"]), np.array([0, ~1]))]))
 
 
-def test_level_indices_are_gathered_two_bytes_wide():
-    # the sign slot and one digit slot: every other slot of 0 ... 8 is unused
+def test_a_negative_index_on_a_float_table_is_refused():
+    # a float pair, too, gathers values[index] only: no index wraps around
+    with pytest.raises(ValueError, match="negative"):
+        list(csv_pieces("h", [(np.array([1.0, 2.0]), np.array([0, -1]))]))
+
+
+def test_ladder_cells_of_one_digit_are_two_bytes_wide():
+    # the sign slot, kept for a negated row, and one digit slot: every other
+    # slot of 0 ... 8 is unused
     fields = table._float_fields(np.arange(9.0))
-    assert table._table(fields, np.arange(9.0)).shape == (18, 2)
+    assert table._rows(fields, sign=True).shape == (9, 2)
+    assert table._rows(fields).shape == (9, 1)
 
 
 # --- significands: Dekker's exact product against exact rationals ----------
