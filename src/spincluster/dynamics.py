@@ -415,15 +415,6 @@ def _sorted3(x, y, z):
                      np.maximum(high, z)], axis=-1)
 
 
-def _nine_levels(m):
-    """Sorted magnitudes (..., 3) as nine levels 0.0 - m[::-1], 0, 0, 0, m:
-    0.0 - m, not -m, so that a magnitude +0.0 never prints as -0."""
-    levels = np.zeros(m.shape[:-1] + (9,))
-    np.subtract(0.0, m[..., ::-1], out=levels[..., :3])
-    levels[..., 6:] = m
-    return levels
-
-
 def _closed_form_magnitudes(b: np.ndarray, omega: np.ndarray, delta_gap: float):
     """Sorted magnitudes (2, n, 3) of the printed and the corrected radical at
     fields b, omega = hypot(b, delta_gap); True if a squared printed level is < 0."""
@@ -445,22 +436,20 @@ def _closed_form_magnitudes(b: np.ndarray, omega: np.ndarray, delta_gap: float):
 @dataclass(frozen=True)
 class LevelComparisonReport:
     b_grid: np.ndarray
-    numeric: np.ndarray          # (n_grid, 9) sorted eigenvalues
-    printed: np.ndarray          # (n_grid, 9) uncorrected closed forms
-    corrected: np.ndarray        # (n_grid, 9) dimensionally repaired forms
-    printed_max_dev: np.ndarray  # (9,) per-level worst gap vs numeric
+    numeric: np.ndarray          # (n_grid, 3) ascending level magnitudes m
+    printed: np.ndarray          # (n_grid, 3) uncorrected closed forms
+    corrected: np.ndarray        # (n_grid, 3) dimensionally repaired forms
+    printed_max_dev: np.ndarray  # (3,) per-magnitude worst gap vs numeric
     corrected_max_dev: np.ndarray
     printed_goes_imaginary: bool
     min_zero_count: int
     invariant_pair_max_dev: float
 
     def to_csv(self) -> Iterator[str]:
-        """Nine rows per field point, one per level: each level column is
-        written from its magnitudes, levels 6-8, as laid out by
-        ``_nine_levels`` (0.0 - m reversed, three +0.0, then m)."""
+        """Nine rows per field point, one per level -m3..m3, as
+        :func:`table.ladder_pieces` lays out each column's magnitudes."""
         return ladder_pieces("B,level,numeric,printed,corrected", self.b_grid,
-                             [levels[:, 6:] for levels in
-                              (self.numeric, self.printed, self.corrected)])
+                             (self.numeric, self.printed, self.corrected))
 
 
 def _check_nine_levels(b_grid, m, omega, delta_gap):
@@ -532,7 +521,5 @@ def coupled_levels_report(B_grid, delta_gap: float,
     gates = _check_nine_levels(b_grid, m, omega, delta_gap)
     if not np.isfinite(closed).all():
         raise NumericalCheckError("closed-form levels overflow on this grid")
-    # each level's worst gap, mirrored about the zero levels: |0.0 - d| = d
-    dev = np.abs(_nine_levels(np.max(np.abs(closed - m), axis=1)))
-    return LevelComparisonReport(b_grid, _nine_levels(m), *_nine_levels(closed), *dev,
-                                 any_imag, *gates)
+    dev = np.max(np.abs(closed - m), axis=1)
+    return LevelComparisonReport(b_grid, m, *closed, *dev, any_imag, *gates)

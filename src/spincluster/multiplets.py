@@ -120,7 +120,7 @@ def branch_columns(register: SpinRegister, S: float, m: float) -> np.ndarray:
     else:
         tot, below = total_spin(register), m - 1.0
         amp = np.sqrt(S * (S + 1) - below * (below + 1))
-        cols = (tot.x + 1j * tot.y) @ branch_columns(register, S, below) / amp
+        cols = (tot[0] + 1j * tot[1]) @ branch_columns(register, S, below) / amp
     return read_only(cols)[0]
 
 

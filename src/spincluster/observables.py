@@ -32,6 +32,6 @@ def local_moments(register: SpinRegister, state,
     vec = _checked_state(register, state)
     mu = np.empty(register.n_sites)
     for k in range(register.n_sites):
-        sz = site_spin(register, k).z
+        sz = site_spin(register, k)[2]
         mu[k] = 0.0 - g * np.real(np.vdot(vec, sz @ vec))
     return mu

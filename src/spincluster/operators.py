@@ -7,7 +7,8 @@ Conventions used throughout the package:
   of site ``k`` in bit ``k`` counted from the most significant of ``n``
   bits.  Bit value 0 means "up" (+1/2 of ``S_z``), 1 means "down".
   Example (n = 3): ``|up,down,down>`` is basis index 3.
-* hbar = 1.  All operators are dense complex ``numpy`` arrays.
+* hbar = 1.  All operators are dense complex ``numpy`` arrays; a vector
+  operator is one ``(3, d, d)`` stack, x, y, z on axis 0.
 * :func:`hermitian_eig` returns eigenvalues only.  A state's phase
   (:func:`fix_phase`): its first largest-magnitude entry is real positive.
 * Weight-independent products are built once per register size and shared
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +29,6 @@ HERMITICITY_ATOL = 1e-10  # times max(1, max |M|)
 DEGENERACY_GTOL = 1e-9  # times max(1, max |eigenvalue|)
 
 _UP, _DOWN = "u", "d"
-
-
-class VectorOperator(NamedTuple):
-    """Cartesian triple of operators transforming as a vector."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def dot(self, other: "VectorOperator") -> np.ndarray:
-        return self.x @ other.x + self.y @ other.y + self.z @ other.z
 
 
 @dataclass(frozen=True)
@@ -57,8 +46,9 @@ class SpinRegister:
         return 2 ** self.n_sites
 
 
-def spin_matrices(s: float = 0.5) -> VectorOperator:
-    """Single-particle spin matrices for spin ``s`` (basis ordered m = s..-s)."""
+def spin_matrices(s: float = 0.5) -> np.ndarray:
+    """Single-particle spin matrices (Sx, Sy, Sz) for spin ``s``, stacked
+    (basis ordered m = s..-s)."""
     dim = int(round(2 * s)) + 1
     m = s - np.arange(dim)
     raise_amp = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
@@ -68,7 +58,7 @@ def spin_matrices(s: float = 0.5) -> VectorOperator:
     sx = (sp + sm) / 2
     sy = (sp - sm) / 2j
     sz = np.diag(m).astype(complex)
-    return VectorOperator(sx, sy, sz)
+    return np.stack([sx, sy, sz])
 
 
 def read_only(*arrays: np.ndarray) -> tuple:
@@ -89,44 +79,44 @@ def embed(register: SpinRegister, site: int, op: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def site_spin(register: SpinRegister, site: int) -> VectorOperator:
+def site_spin(register: SpinRegister, site: int) -> np.ndarray:
     """Spin vector (Sx, Sy, Sz) of one site embedded in the register,
     built once and shared read-only."""
-    single = spin_matrices(0.5)
-    return VectorOperator(*read_only(*(embed(register, site, c) for c in single)))
+    return read_only(np.array([embed(register, site, c) for c in spin_matrices(0.5)]))[0]
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The operator dot product a.b of two vector operators."""
+    return a[0] @ b[0] + a[1] @ b[1] + a[2] @ b[2]
 
 
 @functools.cache
 def pair_dot(register: SpinRegister, i: int, j: int) -> np.ndarray:
     """S_i.S_j of two sites of the register, built once and shared read-only."""
-    return read_only(site_spin(register, i).dot(site_spin(register, j)))[0]
+    return read_only(dot(site_spin(register, i), site_spin(register, j)))[0]
 
 
-def total_spin(register: SpinRegister) -> VectorOperator:
-    """Sum of the site spin vectors."""
+def total_spin(register: SpinRegister) -> np.ndarray:
+    """Sum of the site spin vectors, added left to right."""
     parts = [site_spin(register, k) for k in range(register.n_sites)]
-    return VectorOperator(*(sum(c[1:], c[0]) for c in zip(*parts)))
+    return sum(parts[1:], parts[0])
 
 
 def casimir(register: SpinRegister) -> np.ndarray:
     """Total-spin Casimir S.S of the register."""
     s = total_spin(register)
-    return s.dot(s)
+    return dot(s, s)
 
 
-def cross_component(a: VectorOperator, b: VectorOperator, axis: int) -> np.ndarray:
-    """Component ``axis`` (0,1,2 for x,y,z) of the operator cross product a x b."""
-    i, j = (axis + 1) % 3, (axis + 2) % 3
-    return a[i] @ b[j] - a[j] @ b[i]
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The operator cross product a x b: (a x b)_k = a_i b_j - a_j b_i for
+    (k, i, j) cyclic."""
+    return a[[1, 2, 0]] @ b[[2, 0, 1]] - a[[2, 0, 1]] @ b[[1, 2, 0]]
 
 
-def cross(a: VectorOperator, b: VectorOperator) -> VectorOperator:
-    return VectorOperator(*(cross_component(a, b, ax) for ax in range(3)))
-
-
-def scalar_triple(a: VectorOperator, b: VectorOperator, c: VectorOperator) -> np.ndarray:
+def scalar_triple(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Scalar triple product a.(b x c)."""
-    return a.dot(cross(b, c))
+    return dot(a, cross(b, c))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,10 +30,10 @@ from .errors import ConfigError
 from .multiplets import branch_columns, sectors
 from .operators import (
     SpinRegister,
-    VectorOperator,
     commutator,
     cross,
     degeneracy_groups,
+    dot,
     hermitian_eig,
     pair_dot,
     read_only,
@@ -64,29 +64,25 @@ def _pair_crosses(register: SpinRegister) -> np.ndarray:
     """i (S_i x S_j)_a indexed [pair, a], pairs i < j in order, built once
     and shared read-only."""
     spins = [site_spin(register, k) for k in range(register.n_sites)]
-    return read_only(np.array([1j * np.array(cross(spins[i], spins[j]))
+    return read_only(np.array([1j * cross(spins[i], spins[j])
                                for i in range(register.n_sites)
                                for j in range(i + 1, register.n_sites)]))[0]
 
 
-def build_yangian(register: SpinRegister, weights) -> VectorOperator:
-    """Vector charge Y = sum_k u_k S_k + i sum_{i<j} S_i x S_j."""
+def build_yangian(register: SpinRegister, weights) -> np.ndarray:
+    """Vector charge Y = sum_k u_k S_k + i sum_{i<j} S_i x S_j: the weighted
+    site spins summed left to right, then each pair's term in pair order."""
     u = _check_weights(register.n_sites, weights)
-    spins = [site_spin(register, k) for k in range(register.n_sites)]
-    crosses = _pair_crosses(register)
-    comps = []
-    for axis in range(3):
-        term = sum(u[k] * spins[k][axis] for k in range(register.n_sites))
-        for pair in crosses:
-            term = term + pair[axis]
-        comps.append(term)
-    return VectorOperator(*comps)
+    y = sum(u[k] * site_spin(register, k) for k in range(register.n_sites))
+    for pair in _pair_crosses(register):
+        y = y + pair
+    return y
 
 
 def build_q(register: SpinRegister, weights) -> np.ndarray:
     """Q = Y.Y as a dense matrix."""
     y = build_yangian(register, weights)
-    return y.x @ y.x + y.y @ y.y + y.z @ y.z
+    return dot(y, y)
 
 
 def triple_prefactors(weights) -> np.ndarray:
@@ -288,22 +284,22 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS[_i, _k, _j] = -1.0
 
 
-def _level_zero_residual(y: VectorOperator, total: VectorOperator) -> float:
+def _level_zero_residual(y: np.ndarray, total: np.ndarray) -> float:
     """Max defect of [I_a, I_b] = i eps_abc I_c and [I_a, Y_b] = i eps_abc Y_c."""
-    spin = np.array(total)[:, None]  # I_a, broadcast over b: all (a, b) at once
+    spin = total[:, None]  # I_a, broadcast over b: all (a, b) at once
     return max(float(np.max(np.abs(spin @ ops - ops @ spin
                                    - 1j * np.einsum("abc,cij->abij", _EPS, ops))))
-               for ops in (np.array(total), np.array(y)))
+               for ops in (total, y))
 
 
-def _serre_fit(y: VectorOperator, total: VectorOperator):
+def _serre_fit(y: np.ndarray, total: np.ndarray):
     """Least-squares deformation scalar for the cubic charge relations.
 
     Fits lambda in  [Y_+, [Y_3, Y_+]] = (lambda/4) I_+ (Y_+ I_3 - I_+ Y_3)
     and the lowering-operator counterpart, sharing one lambda across both.
     """
-    i_p, i_m, i_3 = total.x + 1j * total.y, total.x - 1j * total.y, total.z
-    y_p, y_m, y_3 = y.x + 1j * y.y, y.x - 1j * y.y, y.z
+    i_p, i_m, i_3 = total[0] + 1j * total[1], total[0] - 1j * total[1], total[2]
+    y_p, y_m, y_3 = y[0] + 1j * y[1], y[0] - 1j * y[1], y[2]
     lhs_p = commutator(y_p, commutator(y_3, y_p))
     lhs_m = commutator(y_m, commutator(y_3, y_m))
     rhs_p = i_p @ (y_p @ i_3 - i_p @ y_3)

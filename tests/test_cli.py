@@ -216,7 +216,7 @@ def test_check_yangian_at_zero_weights():
 def test_q_spectrum_and_check_yangian_build_each_operator_once(monkeypatch,
                                                                 sites):
     calls = dict.fromkeys(("build_yangian", "build_q", "total_spin"), 0)
-    inner = dict.fromkeys(("fix_phase", "cross_component"), 0)
+    inner = dict.fromkeys(("fix_phase", "cross"), 0)
 
     def count(module, name, tally):
         original = getattr(module, name)
@@ -228,8 +228,8 @@ def test_q_spectrum_and_check_yangian_build_each_operator_once(monkeypatch,
 
     for name in calls:
         count(yangian, name, calls)
-    for name in inner:
-        count(operators, name, inner)
+    count(multiplets, "fix_phase", inner)  # where the package calls them
+    count(yangian, "cross", inner)
     solved, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda m: solved.append(len(m)) or eigvalsh(m))
@@ -240,11 +240,11 @@ def test_q_spectrum_and_check_yangian_build_each_operator_once(monkeypatch,
     sectors = len(multiplets.sectors(operators.SpinRegister(sites)))
     assert len(solved) == sectors  # one eigenvalue solve per spin sector
     # no eigenvector is phase-fixed: only eigenvalues are printed; the first
-    # call fills the shared cross table, one product per pair and axis
-    assert inner == {"fix_phase": 0, "cross_component": 3 * sites * (sites - 1) // 2}
+    # call fills the shared cross table, one stacked product per pair
+    assert inner == {"fix_phase": 0, "cross": sites * (sites - 1) // 2}
     inner.update(dict.fromkeys(inner, 0))
     assert run("q-spectrum", "--sites", str(sites))[0] == 0
-    assert inner == {"fix_phase": 0, "cross_component": 0}
+    assert inner == {"fix_phase": 0, "cross": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert run("check-yangian", "--sites", str(sites))[0] == 0
     assert calls == {"build_yangian": 1, "build_q": 0, "total_spin": 1}
@@ -624,36 +624,29 @@ def _levels_against_complex_eigh(out, payload):
 
 
 # sha256 of stdout of each CSV output, or of the columns that its bounding
-# oracle returns.  The levels-report digests were taken once its closed
-# forms were assembled from sorted magnitudes as 0.0 - m, 0, m, so that no
-# level prints as -0 whatever numpy's sort kernel does with equal zeros
-# (before, some printed and corrected cells read -0; no other cell moved).
-# The phase-map digests were taken once each level energy was summed from
-# 0.0, so that a zero energy is 0, never -0 (before, the origin's ground
-# energy read -0 on x86, where np.min keeps the second of tied zeros; no
-# other cell moved).
-# The others come from the writers that each command had before all three
-# shared one, and the 101-point phase map from the writer before it
-# indexed its grid columns.  The writer's blocks hold about 5 * 1024 floats
-# of the distinct plain float columns: 1024 rows of adiabatic simulate,
-# 1280 of simulate with lzs_mode off (M_norm is n) and 5120 of phase-map;
-# levels-report is written in blocks of 568 whole fields (5112 rows), each
-# block's fields and magnitudes formatted in one pass.  A piece of the text
-# is one block.
-# simulate-5000 (5001 rows), levels-report-5 (45 rows), -400 (3600) and
-# phase-map-101 (10201) cross block edges or fill one block in part.  The
-# phase maps hold the six-way tie at the origin, the singlet ties on the
-# diagonal and degenerate-mixed rows.
-# The simulate digest covers its t,B columns only: the integrator composes
-# its steps in a prefix scan, so M_norm,rho00,n are bounded against the
-# step loop instead (SCAN_ATOL); its 5000 steps fill part of one 8192-step
-# block, the last of its 32-step rows with 8 steps.
-# levels-report-37 and -400 pin their whole CSV: the numeric column, solved
-# in the (C, Gamma) blocks by elementwise Grams and dlae2, has the same bits
-# on every BLAS/LAPACK and SIMD kernel set.  It lies a few ulps off complex
-# eigh, so it is also bounded against that (LEVELS_RTOL at each field).
-# levels-report-5 (gap 0) still matches complex eigh to the byte.
-@pytest.mark.parametrize("command, payload, bounded, digest", [
+# oracle returns.  Why each config is pinned:
+# - Block edges.  The writer formats about 5 * 1024 floats of the distinct
+#   plain float columns at a time: 1024 rows of adiabatic simulate, 1280 of
+#   simulate with lzs_mode off (M_norm is n) and 5120 of phase-map.
+#   levels-report is written in blocks of 568 whole fields (5112 rows).
+#   simulate-5000 (5001 rows), levels-report-5 (45 rows), -400 (3600), -1137
+#   (two blocks and one field) and phase-map-101 (10201 rows) cross block
+#   edges or fill one block in part.
+# - Ties.  The phase maps hold the six-way tie at the origin, the singlet
+#   ties on the diagonal and degenerate-mixed rows, and a zero ground energy
+#   at the origin, which prints as 0.  levels-report-5 runs at gap 0 with B
+#   through 0, so zero magnitudes land in the negated rows, which print as
+#   0, never -0; it matches complex eigh to the byte.
+# - Bounded columns.  levels-report-37, -400 and -1137 pin their whole CSV:
+#   the numeric column, solved in the (C, Gamma) blocks by elementwise Grams
+#   and dlae2, has the same bits on every BLAS/LAPACK and SIMD kernel set.
+#   It lies a few ulps off complex eigh, so it is also bounded against that
+#   (LEVELS_RTOL at each field).  The simulate digest covers its t,B columns
+#   only: the integrator composes its steps in a prefix scan, so
+#   M_norm,rho00,n are bounded against the step loop instead (SCAN_ATOL);
+#   its 5000 steps fill part of one 8192-step block, the last of its 32-step
+#   rows with 8 steps.
+PINNED = [
     pytest.param(
         "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 37,
                           "delta_gap": 0.7, "gamma": 1.3},
@@ -685,18 +678,81 @@ def _levels_against_complex_eigh(out, payload):
         "c00caa32c4be3592f46f817b625ed935020b7a42014dc9f121679ef4c6258432",
         id="levels-report-400"),
     pytest.param(
+        "levels-report", {"b_min": -3.0, "b_max": 2.0, "n_grid": 1137,
+                          "delta_gap": 0.7, "gamma": 1.3},
+        _levels_against_complex_eigh,
+        "09f8f927259019df3df70340ec6569fc5219bbe2387d2b8b70a96cfdc900bda3",
+        id="levels-report-1137"),
+    pytest.param(
         "simulate", {"field": {"kind": "sinusoid", "amplitude": 2.0,
                                "t_end": 6.283185307179586}, "n_steps": 5000},
         _trajectory_against_step_loop,
         "2f8674bc4a47e316c1bf465fb5e3d609da5729825e22d9abf9d1276d128fdf75",
         id="simulate-5000"),
-])
+]
+
+
+@pytest.mark.parametrize("command, payload, bounded, digest", PINNED)
 def test_csv_bytes_are_pinned(tmp_path, command, payload, bounded, digest):
     code, out, _ = run(command, write_cfg(tmp_path, payload))
     assert code == 0
     if bounded is not None:
         out = bounded(out, payload)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# run in a fresh process: each pinned config's exit code, stdout and stderr,
+# and the dispatched SIMD targets still on
+_BASELINE_RUN = """
+import contextlib, io, json, sys
+from numpy._core import _multiarray_umath as umath
+from spincluster.cli import main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        outputs.append([main(argv), out.getvalue(), err.getvalue()])
+on = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+json.dump({"outputs": outputs, "on": on}, sys.stdout)
+"""
+
+
+def test_pinned_csvs_at_baseline_simd_and_on_the_oldest_blas_kernels(tmp_path):
+    # one process with every dispatched SIMD target this CPU has switched
+    # off, so numpy runs its baseline loops, and OpenBLAS on its oldest
+    # kernels: the exact columns keep the native run's bytes, and simulate's
+    # integrated M_norm,rho00,n stay within SCAN_ATOL of the native run
+    from numpy._core import _multiarray_umath as umath
+    jobs = []
+    for k, param in enumerate(PINNED):
+        command, payload = param.values[:2]
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(payload))
+        jobs.append([command, str(path)])
+    # the targets still on here, and any this environment already switched off
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() + [
+        name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(spincluster.__file__).parents[1]), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _BASELINE_RUN, json.dumps(jobs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    baseline = json.loads(proc.stdout)
+    assert baseline["on"] == []
+    for (command, path), (code, out, err) in zip(jobs, baseline["outputs"], strict=True):
+        native = run(command, path)
+        assert (code, err) == native[::2] == (0, "")
+        if command != "simulate":
+            assert out == native[1]
+            continue
+        rows, want = ([line.split(",") for line in text.splitlines()]
+                      for text in (out, native[1]))
+        assert [row[:2] for row in rows] == [row[:2] for row in want]  # t,B
+        integrated = [np.array([row[2:] for row in table[1:]], dtype=float)
+                      for table in (rows, want)]
+        assert np.max(np.abs(integrated[0] - integrated[1])) <= SCAN_ATOL
 
 
 def test_output_is_deterministic():

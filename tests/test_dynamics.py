@@ -36,7 +36,7 @@ from spincluster.dynamics import (
     transition_rate,
 )
 from spincluster.errors import ConfigError, NumericalCheckError
-from spincluster.operators import VectorOperator, cross_component, spin_matrices
+from spincluster.operators import cross, spin_matrices
 from test_table import PER_BLOCK, assert_same_text, csv_text
 
 RATE = st.floats(min_value=0.0, max_value=50.0,
@@ -664,9 +664,9 @@ def coupled_pair_hamiltonian(b, delta_gap, gamma=1.0):
     matrices: Zeeman term plus the y-component of the cross coupling."""
     single = spin_matrices(1.0)
     eye = np.eye(3)
-    left = VectorOperator(*(np.kron(op, eye) for op in single))
-    right = VectorOperator(*(np.kron(eye, op) for op in single))
-    return gamma * b * (left.z + right.z) + delta_gap * cross_component(left, right, 1)
+    left = np.array([np.kron(op, eye) for op in single])
+    right = np.array([np.kron(eye, op) for op in single])
+    return gamma * b * (left[2] + right[2]) + delta_gap * cross(left, right)[1]
 
 
 def complex_eigh_levels(b_grid, delta_gap, gamma):
@@ -675,9 +675,16 @@ def complex_eigh_levels(b_grid, delta_gap, gamma):
                      for b in np.asarray(b_grid, dtype=float)])
 
 
-def assert_levels_near_complex_eigh(numeric, want):
+def ladder(m):
+    """The nine ascending levels -m3, -m2, -m1, 0, 0, 0, m1, m2, m3 of each
+    field's magnitudes m (n, 3), a negated level as 0.0 - m."""
+    return np.concatenate([0.0 - m[:, ::-1], np.zeros_like(m), m], axis=1)
+
+
+def assert_levels_near_complex_eigh(levels, want):
+    """Nine levels per field within LEVELS_RTOL of complex eigh's."""
     scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
-    assert np.all(np.max(np.abs(numeric - want), axis=1) <= LEVELS_RTOL * scale)
+    assert np.all(np.max(np.abs(levels - want), axis=1) <= LEVELS_RTOL * scale)
 
 
 def test_coupled_hamiltonian_zeeman_limit():
@@ -807,9 +814,23 @@ def test_levels_report_matches_per_point_reference(grid, delta_gap, gamma):
                  for b in b_grid]
     assert np.array_equal(report.b_grid, b_grid)
     assert_levels_near_complex_eigh(
-        report.numeric, complex_eigh_levels(b_grid, delta_gap, gamma))
-    assert np.array_equal(report.printed, printed)
-    assert np.array_equal(report.corrected, corrected)
+        ladder(report.numeric), complex_eigh_levels(b_grid, delta_gap, gamma))
+    assert np.array_equal(ladder(report.printed), printed)
+    assert np.array_equal(ladder(report.corrected), corrected)
+
+
+def assert_csv_rows_are_ladders(report):
+    """The nine rows a field's CSV holds, read back: in each level column,
+    rows 0-2 are 0.0 - m3, 0.0 - m2, 0.0 - m1 bit for bit (the sign of a zero
+    included, so no cell reads -0), rows 3-5 the cell 0, rows 6-8 m."""
+    lines = "".join(report.to_csv()).splitlines()[1:]
+    cells = np.array([line.split(",")[2:] for line in lines]).reshape(-1, 9, 3)
+    assert cells.shape[0] == len(report.b_grid)
+    assert np.all(cells[:, 3:6] == "0") and not np.any(cells == "-0")
+    for column, m in enumerate((report.numeric, report.printed, report.corrected)):
+        values = cells[..., column].astype(float)
+        assert values[:, 6:].tobytes() == m.tobytes()
+        assert values[:, :3].tobytes() == (0.0 - m[:, ::-1]).tobytes()
 
 
 @seed(2828)
@@ -823,17 +844,12 @@ def test_levels_report_matches_per_point_reference(grid, delta_gap, gamma):
 def test_levels_solve_matches_complex_eigh_with_exact_symmetry(b_grid, delta_gap,
                                                                gamma):
     # the (C, Gamma) solve at every field: within LEVELS_RTOL of the 9x9
-    # complex eigh, three exact +0.0 levels, and a ladder that is exactly
-    # symmetric about them
+    # complex eigh, and its CSV rows a ladder of three exact zero levels and
+    # levels exactly symmetric about them
     report = coupled_levels_report(b_grid, delta_gap, gamma)
-    numeric = report.numeric
-    assert_levels_near_complex_eigh(numeric,
+    assert_levels_near_complex_eigh(ladder(report.numeric),
                                     complex_eigh_levels(b_grid, delta_gap, gamma))
-    for levels in (numeric, report.printed, report.corrected):
-        # the writer writes these as the constant cell 0
-        assert np.all(levels[:, 3:6] == 0.0) and not np.signbit(levels[:, 3:6]).any()
-    for k in range(9):  # bit for bit, the sign of a zero included
-        assert numeric[:, k].tobytes() == (0.0 - numeric[:, 8 - k]).tobytes()
+    assert_csv_rows_are_ladders(report)
 
 
 @settings(max_examples=40, deadline=None)
@@ -855,7 +871,8 @@ def test_levels_report_csv_equals_materialized_columns(b_range, n_grid,
     text = "".join(report.to_csv())
     assert_same_text(text, csv_text("B,level,numeric,printed,corrected", (
         np.repeat(report.b_grid, 9), np.tile(np.arange(9.0), n_grid),
-        report.numeric.ravel(), report.printed.ravel(), report.corrected.ravel())))
+        *(ladder(m).ravel() for m in (report.numeric, report.printed,
+                                     report.corrected)))))
 
 
 def test_levels_report_does_not_depend_on_the_sort_kernel(monkeypatch):
@@ -896,14 +913,13 @@ def test_levels_report_does_not_depend_on_the_sort_kernel(monkeypatch):
 @example(b_grid=[-0.5, -0.01, 0.0, 0.01, 0.5], delta_gap=0.01, gamma=1.0)
 def test_closed_form_levels_are_signed_magnitudes(b_grid, delta_gap, gamma):
     # gap 0 and fields where the printed reading goes imaginary included:
-    # no -0.0 anywhere, rows 0-2 are 0.0 - rows 8-6 bit for bit, and rows
-    # 3-5 are +0.0, as the writer's signed gathers assume
+    # each field's three magnitudes ascend with no sign bit set, not even a
+    # -0.0's, and the CSV writes them as ladders
     report = coupled_levels_report(b_grid, delta_gap, gamma)
-    for levels in (report.numeric, report.printed, report.corrected):
-        assert not np.any((levels == 0.0) & np.signbit(levels))
-        for k in range(3):
-            assert levels[:, k].tobytes() == (0.0 - levels[:, 8 - k]).tobytes()
-        assert levels[:, 3:6].tobytes() == np.zeros((len(levels), 3)).tobytes()
+    for m in (report.numeric, report.printed, report.corrected):
+        assert m.shape == (len(b_grid), 3)
+        assert not np.signbit(m).any() and np.all(m[:, :2] <= m[:, 1:])
+    assert_csv_rows_are_ladders(report)
 
 
 @pytest.mark.parametrize("bound, message", [
@@ -958,18 +974,20 @@ def test_level_gates_and_deviations_equal_the_nine_column_formulas(b_grid, delta
     # the report reads each field's three magnitudes; the same figures from
     # all nine levels, as zero counts, +-omega gaps and per-level deviations
     report = coupled_levels_report(b_grid, delta_gap, gamma)
-    levels = report.numeric
+    levels = ladder(report.numeric)
     omega = np.array([math.hypot(gamma * b, delta_gap) for b in b_grid])
     assert (report.min_zero_count, report.invariant_pair_max_dev) \
         == _nine_column_gates(levels, omega)
     for dev, closed in ((report.printed_max_dev, report.printed),
                         (report.corrected_max_dev, report.corrected)):
-        assert dev.tobytes() == np.max(np.abs(closed - levels), axis=0).tobytes()
+        nine = np.max(np.abs(ladder(closed) - levels), axis=0)
+        assert dev.tobytes() == nine[6:].tobytes() == nine[2::-1].tobytes()
+        assert not nine[3:6].any()
     # the pair gate off the pair too, where a zero level can be the nearest:
     # factor * omega, with that gate off
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "INVARIANT_LEVEL_ATOL", np.inf)
-        assert dynamics._check_nine_levels(np.asarray(b_grid), levels[:, 6:],
+        assert dynamics._check_nine_levels(np.asarray(b_grid), report.numeric,
                                            factor * omega, delta_gap) \
             == _nine_column_gates(levels, factor * omega)
 

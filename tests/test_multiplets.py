@@ -39,7 +39,7 @@ def test_multiplet_table_is_complete_orthonormal(n_sites):
 def test_members_carry_exact_labels(n_sites):
     register = SpinRegister(n_sites)
     s2 = casimir(register)
-    sz = total_spin(register).z
+    sz = total_spin(register)[2]
     for S in sectors(register):
         for m in projections(S):
             for vec in branch_columns(register, S, m).T:
@@ -62,7 +62,7 @@ def _ladder_up(register, seed, S):
     """The per-branch ladder: the reference for the block ladder of
     :func:`branch_columns`, which must give the same bits."""
     tot = total_spin(register)
-    raising = tot.x + 1j * tot.y
+    raising = tot[0] + 1j * tot[1]
     members = {-S: seed}
     vec, m = seed, -S
     while m < S - 0.5:

@@ -11,7 +11,6 @@ from spincluster.operators import (
     casimir,
     commutator,
     cross,
-    cross_component,
     embed,
     fix_phase,
     hermitian,
@@ -32,10 +31,11 @@ EIG_RESIDUAL_ATOL = 1e-10
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 def test_spin_matrices_su2_algebra(s):
     op = spin_matrices(s)
-    assert np.max(np.abs(commutator(op.x, op.y) - 1j * op.z)) < SU2_ATOL
-    assert np.max(np.abs(commutator(op.y, op.z) - 1j * op.x)) < SU2_ATOL
-    assert np.max(np.abs(commutator(op.z, op.x) - 1j * op.y)) < SU2_ATOL
-    cas = op.x @ op.x + op.y @ op.y + op.z @ op.z
+    assert op.shape == (3, int(2 * s + 1), int(2 * s + 1))
+    assert np.max(np.abs(commutator(op[0], op[1]) - 1j * op[2])) < SU2_ATOL
+    assert np.max(np.abs(commutator(op[1], op[2]) - 1j * op[0])) < SU2_ATOL
+    assert np.max(np.abs(commutator(op[2], op[0]) - 1j * op[1])) < SU2_ATOL
+    cas = op[0] @ op[0] + op[1] @ op[1] + op[2] @ op[2]
     expected = s * (s + 1.0) * np.eye(int(2 * s + 1))
     assert np.max(np.abs(cas - expected)) < SU2_ATOL
 
@@ -64,14 +64,14 @@ def test_site_spin_acts_on_correct_factor():
     r3 = SpinRegister(3)
     state = product_state(r3, "udd")
     for k, expect in enumerate([0.5, -0.5, -0.5]):
-        sz = site_spin(r3, k).z
+        sz = site_spin(r3, k)[2]
         val = np.real(np.vdot(state, sz @ state))
         assert abs(val - expect) < SU2_ATOL
 
 
 def test_total_spin_z_is_diagonal_sum():
     r3 = SpinRegister(3)
-    tz = total_spin(r3).z
+    tz = total_spin(r3)[2]
     # magnetization of each computational basis state = (ups - downs)/2
     diag = np.real(np.diag(tz))
     for b in range(8):
@@ -100,15 +100,14 @@ def test_casimir_on_aligned_state():
 def test_cross_antisymmetry_and_triple():
     r3 = SpinRegister(3)
     s0, s1, s2 = (site_spin(r3, k) for k in range(3))
-    for ax in range(3):
-        lhs = cross_component(s0, s1, ax)
-        rhs = cross_component(s1, s0, ax)
-        assert np.max(np.abs(lhs + rhs)) < SU2_ATOL
+    full = cross(s0, s1)
+    assert full.shape == s0.shape
+    assert np.max(np.abs(full + cross(s1, s0))) < SU2_ATOL
+    for k in range(3):  # (a x b)_k = a_i b_j - a_j b_i for (k, i, j) cyclic
+        i, j = (k + 1) % 3, (k + 2) % 3
+        assert np.array_equal(full[k], s0[i] @ s1[j] - s0[j] @ s1[i])
     trip = scalar_triple(s0, s1, s2)
     assert np.max(np.abs(trip - trip.conj().T)) < SU2_ATOL  # Hermitian
-
-    full = cross(s0, s1)
-    assert np.max(np.abs(full.y - cross_component(s0, s1, 1))) == 0
 
 
 @pytest.mark.parametrize("build, message", [
@@ -176,7 +175,7 @@ def test_hermitian_eig_values_ascend_and_keep_the_invariants(n, degenerate, entr
 def test_embed_commutes_for_distinct_sites(n_sites, entropy):
     rng = np.random.default_rng(entropy)
     register = SpinRegister(n_sites)
-    ops = [embed(register, k, spin_matrices().z) for k in range(n_sites)]
+    ops = [embed(register, k, spin_matrices()[2]) for k in range(n_sites)]
     i, j = rng.choice(n_sites, size=2, replace=False)
     assert np.max(np.abs(commutator(ops[i], ops[j]))) < SU2_ATOL
 
@@ -204,7 +203,7 @@ def test_shared_operators_are_read_only(n_sites):
             with pytest.raises(ValueError):
                 branch_columns(register, S, m)[0, 0] = 1.0
     with pytest.raises(ValueError):
-        site_spin(register, 0).z += 1.0
+        site_spin(register, 0)[2] += 1.0
 
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4])

@@ -22,6 +22,7 @@ from spincluster.operators import (
     SpinRegister,
     commutator,
     cross,
+    dot,
     fix_phase,
     hermitian,
     hermitian_eig,
@@ -209,7 +210,7 @@ def test_joint_labels_diagonalize_each_spin_sector_once(monkeypatch, n_sites,
 def test_joint_labels_form_ladder_consistent_multiplets(n_sites, weights):
     register = SpinRegister(n_sites)
     spin = total_spin(register)
-    raising = spin.x + 1j * spin.y
+    raising = spin[0] + 1j * spin[1]
     states = {}
     for state in q_joint_labels(register, weights):
         states.setdefault((state.S, state.m), []).append(state)
@@ -322,11 +323,24 @@ def test_closed_forms_reject_what_they_do_not_cover(build, message):
 
 # --- weight-independent products, built once -----------------------------
 
+def _cross_components(a, b):
+    """(a x b)_k = a_i b_j - a_j b_i for (k, i, j) cyclic, one k at a time."""
+    return [a[(k + 1) % 3] @ b[(k + 2) % 3] - a[(k + 2) % 3] @ b[(k + 1) % 3]
+            for k in range(3)]
+
+
+def _same_bits(got, want):
+    want = np.array(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _yangian_oracle(register, u):
-    """Y with its cross terms built per call: the reference for the shared
-    cross table, which must give the same bits."""
+    """Y one component at a time, its cross terms built per call: the
+    weighted site spins left to right, then each pair's i S_i x S_j in pair
+    order.  The reference for the stacked sums and the shared cross table,
+    which must give the same bits."""
     spins = [site_spin(register, k) for k in range(register.n_sites)]
-    crosses = [cross(spins[i], spins[j]) for i in range(register.n_sites)
+    crosses = [_cross_components(spins[i], spins[j]) for i in range(register.n_sites)
                for j in range(i + 1, register.n_sites)]
     comps = []
     for axis in range(3):
@@ -352,27 +366,55 @@ def _level_zero_oracle(y, total):
     return worst
 
 
-@seed(108)
+def test_shared_products_are_read_only_and_bit_equal():
+    for n_sites in (2, 3, 4):
+        register = SpinRegister(n_sites)
+        spins = [site_spin(register, k) for k in range(n_sites)]
+        crosses = yangian._pair_crosses(register)
+        pairs = [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
+        for (i, j), pair in zip(pairs, crosses, strict=True):
+            product = pair_dot(register, i, j)
+            assert product is pair_dot(SpinRegister(n_sites), i, j)
+            assert _same_bits(product, dot(spins[i], spins[j]))
+            assert _same_bits(pair, [1j * c for c in _cross_components(spins[i], spins[j])])
+            with pytest.raises(ValueError):
+                product[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            crosses[0, 0, 0, 0] = 1.0
+        for S in sectors(register):
+            for m in projections(S):
+                with pytest.raises(ValueError):
+                    branch_columns(register, S, m)[0, 0] = 1.0
+
+
+@seed(111)
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=4), st.data())
-def test_shared_products_are_read_only_and_bit_equal(n_sites, data):
+def test_stacked_operators_equal_the_per_component_sums(n_sites, data):
+    # each (3, d, d) stack against sums written one component at a time in
+    # the order the package adds them: a[0] @ b[0] + a[1] @ b[1] + a[2] @ b[2],
+    # site spins left to right, then the pairs in order; the same bits,
+    # the sign of a zero included
     register = SpinRegister(n_sites)
-    for i in range(n_sites):
-        for j in range(i + 1, n_sites):
-            dot = pair_dot(register, i, j)
-            assert dot is pair_dot(SpinRegister(n_sites), i, j)
-            assert np.array_equal(dot, site_spin(register, i).dot(site_spin(register, j)))
-            with pytest.raises(ValueError):
-                dot[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        yangian._pair_crosses(register)[0, 0, 0, 0] = 1.0
-    for S in sectors(register):
-        for m in projections(S):
-            with pytest.raises(ValueError):
-                branch_columns(register, S, m)[0, 0] = 1.0
+    spins = [site_spin(register, k) for k in range(n_sites)]
     u = data.draw(_weights_array(n_sites))
-    for got, want in zip(build_yangian(register, u), _yangian_oracle(register, u)):
-        assert np.array_equal(got, want)
+    y = _yangian_oracle(register, u)
+    assert _same_bits(build_yangian(register, u), y)
+    assert _same_bits(build_q(register, u), y[0] @ y[0] + y[1] @ y[1] + y[2] @ y[2])
+    total = []
+    for axis in range(3):
+        term = spins[0][axis]
+        for spin in spins[1:]:
+            term = term + spin[axis]
+        total.append(term)
+    assert _same_bits(total_spin(register), total)
+    for i in range(n_sites):
+        for j in range(i, n_sites):
+            a, b = spins[i], spins[j]
+            want = a[0] @ b[0] + a[1] @ b[1] + a[2] @ b[2]
+            assert _same_bits(pair_dot(register, i, j), want)
+            assert _same_bits(dot(a, b), want)
+            assert _same_bits(cross(a, b), _cross_components(a, b))
 
 
 @seed(109)
@@ -409,6 +451,5 @@ def test_level_zero_does_not_depend_on_weights_shift():
     register = SpinRegister(3)
     y0 = build_yangian(register, [0.0, 0.0, 0.0])
     y1 = build_yangian(register, [1.0, 1.0, 1.0])
-    shift = y1.z - y0.z
-    from spincluster.operators import total_spin
-    assert np.max(np.abs(shift - total_spin(register).z)) < 1e-14
+    shift = y1[2] - y0[2]
+    assert np.max(np.abs(shift - total_spin(register)[2])) < 1e-14
